@@ -2,9 +2,14 @@
 
 Halves dt and the spatial step together over a few levels, measures the
 terminal CW error of both weak fields against the exact steady solution,
-and prints the observed convergence order per level.  The scheme is
-second order, so each level should shrink the error by about 4x until the
-finite settling time floors it.
+and prints the observed convergence order per level.  The CW error comes
+from the trapezoid quadrature in zeta alone: it is second order in the
+spatial step and independent of dt, because the coherence update is exact
+and leaves the CW fixed point unchanged.  Each level should therefore
+shrink the error by about 4x until the finite settling time floors it.
+Pulse transients are a different matter: the split step (coherences with
+frozen fields, then the field rebuild) is first order in dt, which this
+CW study does not probe.
 
 Usage: python scripts/convergence_study.py [--alpha 20] [--levels 4]
 """

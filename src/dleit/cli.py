@@ -327,6 +327,8 @@ def cmd_apm(args) -> tuple[list[str], list[list[float]], dict]:
 
 
 def cmd_propagate(args) -> tuple[list[str], list[list[float]], dict]:
+    if args.t_stride < 1:
+        raise ValueError(f"t-stride must be >= 1, got {args.t_stride}")
     params = MediumParams(
         alpha=args.alpha,
         delta=args.delta,
@@ -344,8 +346,6 @@ def cmd_propagate(args) -> tuple[list[str], list[list[float]], dict]:
                             args.rise_time)
     grid = SimGrid(n_z=args.n_z, dt=args.dt, t_final=args.t_final)
     result = simulate(params, probe, signal, grid)
-    if args.t_stride < 1:
-        raise ValueError(f"t-stride must be >= 1, got {args.t_stride}")
     idx = np.arange(0, result.time_grid.size, args.t_stride)
     rows = [
         [

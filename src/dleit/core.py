@@ -13,6 +13,8 @@ is derived on demand rather than stored.
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,6 +70,14 @@ class MediumParams:
         object.__setattr__(self, "gamma21", float(self.gamma21))
         object.__setattr__(self, "omega_c", complex(self.omega_c))
         object.__setattr__(self, "omega_d", complex(self.omega_d))
+        if not (
+            math.isfinite(self.alpha)
+            and math.isfinite(self.delta)
+            and math.isfinite(self.gamma21)
+            and cmath.isfinite(self.omega_c)
+            and cmath.isfinite(self.omega_d)
+        ):
+            raise ValueError(f"parameters must be finite, got {self}")
         if not self.alpha >= 0.0:
             raise ValueError(f"alpha must be >= 0, got {self.alpha}")
         if not self.gamma21 >= 0.0:

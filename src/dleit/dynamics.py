@@ -22,12 +22,13 @@ two maximizes the output energy.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid, trapezoid
+from scipy.integrate import trapezoid
 from scipy.linalg import expm
 from scipy.optimize import minimize_scalar
 
@@ -69,10 +70,10 @@ class SimGrid:
     def __post_init__(self) -> None:
         if self.n_z < 16:
             raise ValueError(f"n_z must be >= 16, got {self.n_z}")
-        if self.dt <= 0.0:
-            raise ValueError(f"dt must be > 0, got {self.dt}")
-        if self.t_final < self.dt:
-            raise ValueError("t_final must be >= dt")
+        if not (math.isfinite(self.dt) and self.dt > 0.0):
+            raise ValueError(f"dt must be finite and > 0, got {self.dt}")
+        if not (math.isfinite(self.t_final) and self.t_final >= self.dt):
+            raise ValueError(f"t_final must be finite and >= dt, got {self.t_final}")
 
     @property
     def n_steps(self) -> int:
@@ -105,10 +106,16 @@ class PulseShape:
         if self.kind not in PULSE_KINDS:
             raise ValueError(f"kind must be one of {PULSE_KINDS}, got {self.kind!r}")
         object.__setattr__(self, "amplitude", complex(self.amplitude))
-        if self.rise_time < 0.0:
-            raise ValueError(f"rise_time must be >= 0, got {self.rise_time}")
+        if not cmath.isfinite(self.amplitude):
+            raise ValueError(f"amplitude must be finite, got {self.amplitude}")
+        if not math.isfinite(self.t_on):
+            raise ValueError(f"t_on must be finite, got {self.t_on}")
+        if not (math.isfinite(self.rise_time) and self.rise_time >= 0.0):
+            raise ValueError(f"rise_time must be finite and >= 0, got {self.rise_time}")
         if self.kind != "cw" and not self.t_off > self.t_on:
             raise ValueError("pulses require t_off > t_on")
+        if self.kind == "gaussian" and not math.isfinite(self.t_off):
+            raise ValueError("gaussian pulses require a finite t_off")
         if self.kind == "smoothed_square" and self.rise_time == 0.0:
             raise ValueError("smoothed_square requires rise_time > 0")
 
@@ -192,6 +199,20 @@ class PulseSimResult:
     coherence_map: np.ndarray | None = None
 
 
+def _obe_matrix(
+    delta: float, gamma21: float, omega_c: complex, omega_d: complex
+) -> np.ndarray:
+    """Homogeneous matrix of the coherence ODE in (rho41, rho31, rho21) order."""
+    return np.array(
+        [
+            [1j * delta - 0.5, 0.0, 0.5j * omega_d],
+            [0.0, -0.5, 0.5j * omega_c],
+            [0.5j * np.conj(omega_d), 0.5j * np.conj(omega_c), -0.5 * gamma21],
+        ],
+        dtype=complex,
+    )
+
+
 @functools.lru_cache(maxsize=128)
 def _propagators(
     delta: float, gamma21: float, omega_c: complex, omega_d: complex, dt: float
@@ -203,16 +224,8 @@ def _propagators(
     of the augmented 6x6 block matrix, which handles a singular homogeneous
     matrix (gamma21 = 0) without special cases.
     """
-    hom = np.array(
-        [
-            [1j * delta - 0.5, 0.0, 0.5j * omega_d],
-            [0.0, -0.5, 0.5j * omega_c],
-            [0.5j * np.conj(omega_d), 0.5j * np.conj(omega_c), -0.5 * gamma21],
-        ],
-        dtype=complex,
-    )
     aug = np.zeros((6, 6), dtype=complex)
-    aug[:3, :3] = hom
+    aug[:3, :3] = _obe_matrix(delta, gamma21, omega_c, omega_d)
     aug[:3, 3:] = np.eye(3)
     exp_aug = expm(aug * dt)
     step = exp_aug[:3, :3].copy()
@@ -220,22 +233,6 @@ def _propagators(
     step.setflags(write=False)
     source.setflags(write=False)
     return step, source
-
-
-def _obe_matrix(params: MediumParams) -> np.ndarray:
-    """Homogeneous matrix of the coherence ODE in (rho41, rho31, rho21) order."""
-    return np.array(
-        [
-            [1j * params.delta - 0.5, 0.0, 0.5j * params.omega_d],
-            [0.0, -0.5, 0.5j * params.omega_c],
-            [
-                0.5j * np.conj(params.omega_d),
-                0.5j * np.conj(params.omega_c),
-                -0.5 * params.gamma21,
-            ],
-        ],
-        dtype=complex,
-    )
 
 
 def step_coherences(
@@ -251,6 +248,27 @@ def step_coherences(
     return CoherenceState(rho41=y[0], rho31=y[1], rho21=y[2])
 
 
+def _rebuild_fields(
+    coherences: np.ndarray,
+    half_dz: np.ndarray,
+    edge: np.ndarray,
+    fields: np.ndarray,
+    incr: np.ndarray,
+) -> None:
+    """Trapezoid field rebuild in zeta, written in place into `fields`.
+
+    `fields` has shape (2, n_z) in (signal, probe) row order, matching the
+    driving coherence rows (rho41, rho31) of `coherences`; `half_dz` is
+    (i/4) diff(zeta), `edge` the (2, 1) incident boundary values and `incr`
+    a (2, n_z - 1) scratch buffer.
+    """
+    np.add(coherences[:2, :-1], coherences[:2, 1:], out=incr)
+    incr *= half_dz
+    np.cumsum(incr, axis=1, out=fields[:, 1:])
+    fields[:, 1:] += edge
+    fields[:, :1] = edge
+
+
 def step_fields(
     coherences: np.ndarray, boundary: FieldPair, zeta_grid: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -263,13 +281,20 @@ def step_fields(
     coherences = np.asarray(coherences, dtype=complex)
     if coherences.ndim != 2 or coherences.shape[0] != 3:
         raise ValueError(f"coherences must have shape (3, n_z), got {coherences.shape}")
-    probe = boundary.omega_p + cumulative_trapezoid(
-        0.5j * coherences[1], zeta_grid, initial=0.0
+    n_z = coherences.shape[1]
+    zeta_grid = np.asarray(zeta_grid, dtype=float)
+    if zeta_grid.shape != (n_z,):
+        raise ValueError(f"zeta_grid must have shape ({n_z},), got {zeta_grid.shape}")
+    fields = np.empty((2, n_z), dtype=complex)
+    edge = np.array([[boundary.omega_s], [boundary.omega_p]], dtype=complex)
+    _rebuild_fields(
+        coherences,
+        0.25j * np.diff(zeta_grid),
+        edge,
+        fields,
+        np.empty((2, n_z - 1), dtype=complex),
     )
-    signal = boundary.omega_s + cumulative_trapezoid(
-        0.5j * coherences[0], zeta_grid, initial=0.0
-    )
-    return probe, signal
+    return fields[1], fields[0]
 
 
 def _energy(series: np.ndarray, times: np.ndarray) -> float:
@@ -313,51 +338,56 @@ def simulate(
     peak_input = max(np.abs(input_probe).max(), np.abs(input_signal).max())
     field_bound = FIELD_BLOWUP_FACTOR * peak_input
 
+    # Fields are one (2, n_z) array in (signal, probe) row order, lined up
+    # with the coherence rows (rho41, rho31) that drive them; every buffer
+    # below is reused across steps.
+    edges = np.stack([input_signal, input_probe], axis=1)[:, :, None]
+    drive = 0.5j * source[:, :2]
+    half_dz = 0.25j * np.diff(zeta)
     x = np.zeros((3, grid.n_z), dtype=complex)
-    boundary = FieldPair(input_probe[0], input_signal[0])
-    probe_field, signal_field = step_fields(x, boundary, zeta)
+    scratch = np.empty_like(x)
+    fields = np.empty((2, grid.n_z), dtype=complex)
+    incr = np.empty((2, grid.n_z - 1), dtype=complex)
+    _rebuild_fields(x, half_dz, edges[0], fields, incr)
 
-    output_probe = np.empty(n_steps + 1, dtype=complex)
-    output_signal = np.empty(n_steps + 1, dtype=complex)
-    output_probe[0] = probe_field[-1]
-    output_signal[0] = signal_field[-1]
+    outputs = np.empty((2, n_steps + 1), dtype=complex)
+    outputs[:, 0] = fields[:, -1]
 
     saved_times: list[float] = []
-    saved_probe: list[np.ndarray] = []
-    saved_signal: list[np.ndarray] = []
+    saved_fields: list[np.ndarray] = []
     saved_coh: list[np.ndarray] = []
 
     def save(k: int) -> None:
         saved_times.append(times[k])
-        saved_probe.append(probe_field.copy())
-        saved_signal.append(signal_field.copy())
+        saved_fields.append(fields.copy())
         saved_coh.append(x.copy())
 
     if store_maps:
         save(0)
 
-    b = np.zeros((3, grid.n_z), dtype=complex)
     for k in range(1, n_steps + 1):
-        b[0] = 0.5j * signal_field
-        b[1] = 0.5j * probe_field
-        x = step @ x + source @ b
-        boundary = FieldPair(input_probe[k], input_signal[k])
-        probe_field, signal_field = step_fields(x, boundary, zeta)
-        output_probe[k] = probe_field[-1]
-        output_signal[k] = signal_field[-1]
+        np.matmul(step, x, out=scratch)
+        np.matmul(drive, fields, out=x)
+        x += scratch
+        _rebuild_fields(x, half_dz, edges[k], fields, incr)
+        outputs[:, k] = fields[:, -1]
         if store_maps and (k % map_stride == 0 or k == n_steps):
             save(k)
         if k % INSTABILITY_CHECK_STRIDE == 0 or k == n_steps:
-            field_peak = max(
-                np.abs(probe_field).max(), np.abs(signal_field).max()
-            )
-            if np.abs(x).max() > 1.0 or field_peak > field_bound:
+            # written so that NaN fails the test as well as overflow
+            rho_peak = np.abs(x).max()
+            field_peak = np.abs(fields).max()
+            if not (rho_peak <= 1.0 and field_peak <= field_bound):
                 raise NumericalInstability(
                     f"aborted at t = {times[k]:.3f}: max |rho| = "
-                    f"{np.abs(x).max():.3g}, max |field| = {field_peak:.3g} "
+                    f"{rho_peak:.3g}, max |field| = {field_peak:.3g} "
                     f"(bound {field_bound:.3g})"
                 )
 
+    output_signal, output_probe = outputs
+    field_map_signal, field_map_probe = (
+        np.array(saved_fields).swapaxes(0, 1) if store_maps else (None, None)
+    )
     energy_in_probe = _energy(input_probe, times)
     energy_in_signal = _energy(input_signal, times)
     t_probe = _energy(output_probe, times) / energy_in_probe if energy_in_probe > 0 else 0.0
@@ -379,8 +409,8 @@ def simulate(
         group_delay_signal=delay_signal,
         zeta_grid=zeta,
         map_times=np.array(saved_times) if store_maps else None,
-        field_map_probe=np.array(saved_probe) if store_maps else None,
-        field_map_signal=np.array(saved_signal) if store_maps else None,
+        field_map_probe=field_map_probe,
+        field_map_signal=field_map_signal,
         coherence_map=np.array(saved_coh) if store_maps else None,
     )
 
@@ -397,7 +427,7 @@ def steady_cw_output(params: MediumParams, boundary: FieldPair, zeta: float | No
         zeta = params.alpha
     if not 0.0 <= zeta <= params.alpha:
         raise ValueError(f"zeta = {zeta} outside [0, alpha = {params.alpha}]")
-    hom = _obe_matrix(params)
+    hom = _obe_matrix(params.delta, params.gamma21, params.omega_c, params.omega_d)
     # b = (i/2) B (omega_p, omega_s) with B mapping the field vector onto
     # the source slots; x* = -hom^{-1} b, d(fields)/dzeta = (i/2) C x*.
     b_map = np.array([[0.0, 1.0], [1.0, 0.0], [0.0, 0.0]], dtype=complex)
@@ -464,13 +494,13 @@ def optimize_amplification(
     coarse scan and refined by golden-section search.  alpha = 0 transmits
     both fields unchanged for every detuning, reported with delta_opt NaN.
     """
-    if alpha < 0.0:
-        raise ValueError(f"alpha must be >= 0, got {alpha}")
+    if not (math.isfinite(alpha) and alpha >= 0.0):
+        raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
     if alpha == 0.0:
         return AmplificationResult(0.0, math.nan, 0.0, 1.0, 1.0)
     lo, hi = float(delta_range[0]), float(delta_range[1])
-    if not lo < hi:
-        raise ValueError(f"delta_range must satisfy lo < hi, got {delta_range}")
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise ValueError(f"delta_range must be finite with lo < hi, got {delta_range}")
     grid = np.arange(lo, hi + 0.5 * scan_step, scan_step)
     grid[-1] = min(grid[-1], hi)
     scanned = np.array([peak_transmission(alpha, d) for d in grid])

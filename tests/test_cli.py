@@ -212,6 +212,15 @@ def test_exit_code_for_invalid_physics(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_propagate_rejects_bad_t_stride_before_simulating(capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("simulate ran before --t-stride was validated")
+
+    monkeypatch.setattr("dleit.cli.simulate", fail)
+    assert main(["propagate", "--alpha", "10", "--t-stride", "0"]) == 2
+    assert "t-stride" in capsys.readouterr().err
+
+
 def test_exit_code_for_numerical_instability(capsys):
     code = main(
         ["propagate", "--alpha", "10", "--probe-amp", "50",

@@ -47,6 +47,21 @@ def test_wrap_signed_is_congruent_mod_two_pi(phi):
     assert np.sin(wrapped) == pytest.approx(np.sin(phi), abs=1e-9)
 
 
+non_finite = st.sampled_from([np.nan, np.inf, -np.inf])
+
+
+@given(non_finite, st.sampled_from(["alpha", "delta", "gamma21", "omega_c", "omega_d"]))
+def test_medium_params_rejects_non_finite_inputs(bad, field):
+    kwargs = {"alpha": 5.0, "delta": 1.0, "gamma21": 0.01, "omega_c": 1.0, "omega_d": 1.0j}
+    kwargs[field] = bad
+    with pytest.raises(ValueError):
+        MediumParams(**kwargs)
+    if field.startswith("omega"):
+        kwargs[field] = complex(1.0, bad)
+        with pytest.raises(ValueError):
+            MediumParams(**kwargs)
+
+
 def test_medium_params_validation():
     with pytest.raises(ValueError):
         MediumParams(alpha=-1.0)
