@@ -32,19 +32,17 @@ def run(argv: list[str], out_path: Path) -> None:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out-dir", default="data")
-    parser.add_argument("--threads", type=int, default=4)
     parser.add_argument("--quick", action="store_true",
                         help="coarser sweeps and a shorter pulse run")
     args = parser.parse_args()
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    threads = ["--threads", str(args.threads)]
 
     phi_step = "0.1" if args.quick else "0.02"
     for alpha in (40, 100):
         run(
             ["steady", "--alpha", str(alpha), "--delta", "16.5",
-             "--phi-r-sweep", f"0:6.2832:{phi_step}"] + threads,
+             "--phi-r-sweep", f"0:6.2832:{phi_step}"],
             out / f"steady_sweep_a{alpha}.csv",
         )
 
@@ -56,7 +54,7 @@ def main() -> int:
     )
 
     run(
-        ["jump", "--delta-sweep", "2:50:0.5", "--verify"] + threads,
+        ["jump", "--delta-sweep", "2:50:0.5", "--verify"],
         out / "jump_table.csv",
     )
 
@@ -65,12 +63,12 @@ def main() -> int:
     ]
     for target in ("pi", "half_pi"):
         run(
-            ["apm", "--alpha", *alpha_list, "--target", target] + threads,
+            ["apm", "--alpha", *alpha_list, "--target", target],
             out / f"apm_{target}.csv",
         )
 
     run(
-        ["amplify-sweep", "--alpha-sweep", "5:200:5"] + threads,
+        ["amplify-sweep", "--alpha-sweep", "5:200:5"],
         out / "amplification.csv",
     )
 

@@ -4,36 +4,40 @@ In the balanced configuration the terminal probe ratio traces a circle in
 the complex plane as the loop phase phi_r is scanned.  Pinning the terminal
 ratio to the negative real axis imprints a pi output phase on the probe;
 pinning it to the negative imaginary axis imprints -pi/2.  This module
-computes the loop phases that realize those conditions, optimizes the
-detuning for maximal probe transmission subject to them, and quantifies the
-modulation contrast against the signal-off configuration.
+computes the loop phases that realize those conditions in closed form, as
+the points where the circle meets the target ray, for a whole detuning grid
+at once; optimizes the detuning for maximal probe transmission subject to
+them; and quantifies the modulation contrast against the signal-off
+configuration.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
 
-from .core import TWO_PI, wrap_phase, wrap_signed
-from .phase_jump import attenuation_rotation
+from .core import (
+    DEFAULT_DELTA_RANGE,
+    DEFAULT_DELTA_TOL,
+    DEFAULT_SCAN_STEP,
+    TWO_PI,
+    detuning_grid,
+    refine_maximum,
+    wrap_signed,
+)
 from .steady_state import ZeroFieldError, balanced_components, transmission_and_phase
 
 #: Verification ceiling for the pinned coordinate of a returned operating point.
 AXIS_TOL = 1e-9
 
-#: Detuning search window covering the useful dispersive regime, in Gamma units.
-DEFAULT_DELTA_RANGE = (0.5, 60.0)
-
-#: Golden-section refinement tolerance; the transmission optimum is flat-topped.
-DEFAULT_DELTA_TOL = 1e-3
-
-#: Scan step of the coarse detuning grid, in Gamma units.
-DEFAULT_SCAN_STEP = 0.05
-
-#: Initial bracketing resolution for the half-pi root solve on [0, 2*pi).
-N_PHASE_BRACKETS = 64
+#: Direction exp(i*theta) of the ray each target pins the terminal probe ratio
+#: to (theta = pi and theta = -pi/2), with the name of that ray.
+_TARGET_RAYS = {
+    "pi": (-1.0 + 0.0j, "negative real axis"),
+    "half_pi": (-1.0j, "negative imaginary axis"),
+}
 
 
 class InfeasibleError(ValueError):
@@ -60,7 +64,7 @@ class ApmOperatingPoint:
     phase_without: float
 
     def __post_init__(self) -> None:
-        if self.target_shift not in ("pi", "half_pi"):
+        if self.target_shift not in _TARGET_RAYS:
             raise ValueError(
                 f"target_shift must be 'pi' or 'half_pi', got {self.target_shift!r}"
             )
@@ -94,70 +98,84 @@ def no_signal_ratio(alpha: float, delta: float) -> complex:
     return center
 
 
+def _ray_solutions(
+    alpha: float, deltas: np.ndarray, target_shift: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """Loop phases pinning the terminal probe ratio to the target ray, per detuning.
+
+    Turned by exp(-i*theta), where exp(i*theta) is the target's ray in
+    _TARGET_RAYS, the ratio c + r*exp(-i*phi_r) becomes
+    w = c_t + r_t*exp(-i*phi_r), and the target reads Im w = 0, Re w > 0.
+    Im w = 0 is sin(phi_r - arg r_t) = Im c_t/|r|, met at
+    phi_r = arg r_t + arcsin(Im c_t/|r|) and arg r_t + pi - arcsin(Im c_t/|r|)
+    when |Im c_t| <= |r|.  A root is feasible when it lands on the ray
+    (Re w > 0) with |Im w| <= AXIS_TOL; of two feasible roots the one with
+    the larger transmission |ratio|^2 is kept.  Returns (phi_r in [0, 2*pi),
+    transmission), both NaN wherever the target is infeasible.
+    """
+    if target_shift not in _TARGET_RAYS:
+        raise ValueError(f"target_shift must be 'pi' or 'half_pi', got {target_shift!r}")
+    if not (math.isfinite(alpha) and alpha > 0.0):
+        raise ValueError(f"alpha must be finite and > 0, got {alpha}")
+    center, radius = balanced_components(alpha, deltas)
+    turn = np.conj(_TARGET_RAYS[target_shift][0])
+    # A circle that misses the line (|sin| > 1) or has shrunk to a point
+    # yields NaN roots, which fail every feasibility test below.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        offset = np.arcsin((center * turn).imag / np.abs(radius))
+        base = np.angle(radius * turn)
+        roots = np.mod(np.stack((base + offset, base + np.pi - offset)), TWO_PI)
+        # np.mod of a tiny negative angle rounds to exactly 2*pi.
+        roots[roots == TWO_PI] = 0.0
+        ratios = center + radius * np.exp(-1j * roots)
+        pinned = ratios * turn
+        feasible = (pinned.real > 0.0) & (np.abs(pinned.imag) <= AXIS_TOL)
+        transmission = np.where(feasible, np.abs(ratios) ** 2, np.nan)
+        # The second root wins when only it is feasible or it transmits more.
+        second = feasible[1] & ~(transmission[0] >= transmission[1])
+    best = np.where(second, transmission[1], transmission[0])
+    phi = np.where(np.isnan(best), np.nan, np.where(second, roots[1], roots[0]))
+    return phi, best
+
+
+def _pinned_phase(alpha: float, delta: float, target_shift: str) -> float:
+    """Loop phase of the target at one detuning.
+
+    The one-point case of `_ray_solutions`; raises InfeasibleError where
+    the ratio circle does not reach the target ray.
+    """
+    if not math.isfinite(delta):
+        raise ValueError(f"delta must be finite, got {delta}")
+    phi, transmission = _ray_solutions(alpha, np.array([delta], dtype=float), target_shift)
+    if np.isnan(transmission[0]):
+        raise InfeasibleError(
+            f"no {target_shift} solution at alpha={alpha}, delta={delta}: "
+            f"the ratio circle does not reach the {_TARGET_RAYS[target_shift][1]}"
+        )
+    return float(phi[0])
+
+
 def phi_r_for_pi_shift(alpha: float, delta: float) -> float:
     """Loop phase placing the terminal probe ratio on the negative real axis.
 
-    The closed form 2*atan[(cos I - exp(-R))/sin I] makes the terminal ratio
-    exactly real by construction; the point is only a pi shift when that real
-    value is negative, otherwise the configuration is infeasible.
+    The closed-form ray solution for theta = pi (see `_ray_solutions`).
+    Raises ValueError for a non-finite or non-positive depth or a
+    non-finite detuning, and InfeasibleError where the ratio circle does not
+    reach the negative real axis.
     """
-    if alpha <= 0.0:
-        raise ValueError(f"alpha must be > 0, got {alpha}")
-    r, i = attenuation_rotation(alpha, delta)
-    s = np.sin(i)
-    if s == 0.0:
-        raise InfeasibleError(
-            f"no pi solution at alpha={alpha}, delta={delta}: "
-            "the decaying mode acquires no rotation"
-        )
-    phi = float(wrap_phase(2.0 * np.arctan((np.cos(i) - np.exp(-r)) / s)))
-    ratio = terminal_probe_ratio(alpha, delta, phi)
-    if abs(ratio.imag) > AXIS_TOL or ratio.real >= 0.0:
-        raise InfeasibleError(
-            f"no pi solution at alpha={alpha}, delta={delta}: "
-            f"terminal ratio {ratio:.6g} is not on the negative real axis"
-        )
-    return phi
+    return _pinned_phase(alpha, delta, "pi")
 
 
 def phi_r_for_half_pi_shift(alpha: float, delta: float) -> float:
     """Loop phase placing the terminal probe ratio on the negative imaginary axis.
 
-    Re[ratio] = 0 is solved by bracketed root finding over [0, 2*pi); among
-    the roots with Im[ratio] < 0 the one with the highest transmission is
-    returned.
+    The closed-form ray solution for theta = -pi/2, i.e.
+    phi_r = arg r +- arccos(-Re c/|r|), keeping the root with Im[ratio] < 0
+    and the highest transmission (see `_ray_solutions`).  Raises ValueError
+    for a non-finite or non-positive depth or a non-finite detuning, and
+    InfeasibleError where the ratio circle does not reach the axis.
     """
-    if alpha <= 0.0:
-        raise ValueError(f"alpha must be > 0, got {alpha}")
-    center, radius = circle_terms(alpha, delta)
-
-    def re_ratio(phi: float) -> float:
-        return (center + radius * np.exp(-1j * phi)).real
-
-    nodes = np.linspace(0.0, TWO_PI, N_PHASE_BRACKETS + 1)
-    values = center.real + (radius * np.exp(-1j * nodes)).real
-    roots: list[float] = []
-    for k in range(N_PHASE_BRACKETS):
-        a, b = values[k], values[k + 1]
-        if a == 0.0:
-            roots.append(float(nodes[k]))
-        elif a * b < 0.0:
-            roots.append(float(brentq(re_ratio, nodes[k], nodes[k + 1])))
-    best_phi = None
-    best_t = -1.0
-    for phi in roots:
-        ratio = complex(center + radius * np.exp(-1j * phi))
-        if ratio.imag >= 0.0:
-            continue
-        t = abs(ratio) ** 2
-        if t > best_t:
-            best_t, best_phi = t, float(wrap_phase(phi))
-    if best_phi is None:
-        raise InfeasibleError(
-            f"no half-pi solution at alpha={alpha}, delta={delta}: "
-            "the ratio circle does not reach the negative imaginary axis"
-        )
-    return best_phi
+    return _pinned_phase(alpha, delta, "half_pi")
 
 
 def apm_contrast(alpha: float, delta: float, phi_r: float) -> tuple[float, float, float]:
@@ -175,14 +193,6 @@ def apm_contrast(alpha: float, delta: float, phi_r: float) -> tuple[float, float
     return phase_with, phase_without, contrast
 
 
-def _phi_solver(target_shift: str):
-    if target_shift == "pi":
-        return phi_r_for_pi_shift
-    if target_shift == "half_pi":
-        return phi_r_for_half_pi_shift
-    raise ValueError(f"target_shift must be 'pi' or 'half_pi', got {target_shift!r}")
-
-
 def _transmission_or_nan_phase(ratio: complex) -> tuple[float, float]:
     """Transmission plus principal phase, NaN phase for an extinguished field."""
     try:
@@ -198,7 +208,7 @@ def operating_point(alpha: float, delta: float, target_shift: str) -> ApmOperati
     critical depth, the signal-off one at resonance); the undefined phases
     and contrast are then reported as NaN.
     """
-    phi = _phi_solver(target_shift)(alpha, delta)
+    phi = _pinned_phase(alpha, delta, target_shift)
     ratio_with = complex(terminal_probe_ratio(alpha, delta, phi))
     ratio_without = no_signal_ratio(alpha, delta)
     t_with, phase_with = _transmission_or_nan_phase(ratio_with)
@@ -220,43 +230,6 @@ def operating_point(alpha: float, delta: float, target_shift: str) -> ApmOperati
     )
 
 
-def _constrained_transmission(alpha: float, target_shift: str):
-    solver = _phi_solver(target_shift)
-
-    def transmission(delta: float) -> float:
-        try:
-            phi = solver(alpha, delta)
-        except InfeasibleError:
-            return np.nan
-        return abs(complex(terminal_probe_ratio(alpha, delta, phi))) ** 2
-
-    return transmission
-
-
-def _refine_candidate(transmission, grid, scanned, k: int, tol: float) -> float:
-    """Golden-refine an interior grid maximum, falling back to the node."""
-    best_delta = float(grid[k])
-    interior = (
-        0 < k < grid.size - 1
-        and np.isfinite(scanned[k - 1])
-        and np.isfinite(scanned[k + 1])
-    )
-    if interior:
-        try:
-            result = minimize_scalar(
-                lambda d: -transmission(d),
-                bracket=(grid[k - 1], grid[k], grid[k + 1]),
-                method="golden",
-                options={"xtol": tol},
-            )
-            if np.isfinite(result.fun):
-                best_delta = float(result.x)
-        except ValueError:
-            # Flat-topped bracket: the grid candidate already sits within tol.
-            pass
-    return best_delta
-
-
 def scan_local_maxima(
     alpha: float,
     target_shift: str,
@@ -266,41 +239,34 @@ def scan_local_maxima(
 ) -> list[ApmOperatingPoint]:
     """All local transmission maxima of the constrained detuning scan.
 
+    The whole grid is evaluated by one closed-form array expression.
     The feasible set can split into several bands; every band contributes
     its local maxima (band edges included), each refined by golden-section
     search when it sits strictly inside the feasible region.  Points are
     returned in increasing detuning order.  Raises InfeasibleError when the
     whole range is infeasible.
     """
-    lo, hi = float(delta_range[0]), float(delta_range[1])
-    if not lo < hi:
-        raise ValueError(f"delta_range must satisfy lo < hi, got {delta_range}")
-    if scan_step <= 0.0 or tol <= 0.0:
-        raise ValueError("scan_step and tol must be > 0")
-    transmission = _constrained_transmission(alpha, target_shift)
-    grid = np.arange(lo, hi + 0.5 * scan_step, scan_step)
-    grid[-1] = min(grid[-1], hi)
-    scanned = np.array([transmission(d) for d in grid])
-    if not np.any(np.isfinite(scanned)):
+    grid = detuning_grid(delta_range, scan_step, tol)
+    _, scanned = _ray_solutions(alpha, grid, target_shift)
+    if np.all(np.isnan(scanned)):
         raise InfeasibleError(
             f"no feasible detuning for target {target_shift!r} in "
-            f"[{lo}, {hi}] at alpha={alpha}"
+            f"[{float(delta_range[0])}, {float(delta_range[1])}] at alpha={alpha}"
         )
-    points: list[ApmOperatingPoint] = []
-    for k in range(grid.size):
-        value = scanned[k]
-        if not np.isfinite(value):
-            continue
-        left = scanned[k - 1] if k > 0 else np.nan
-        right = scanned[k + 1] if k < grid.size - 1 else np.nan
-        # An infeasible or missing neighbor makes this a band edge, which
-        # still counts; >= on the left and > on the right breaks plateau ties.
-        if not (np.isfinite(left) and value < left) and not (
-            np.isfinite(right) and value <= right
-        ):
-            delta = _refine_candidate(transmission, grid, scanned, k, tol)
-            points.append(operating_point(alpha, delta, target_shift))
-    return points
+
+    def transmission(delta: float) -> float:
+        return _ray_solutions(alpha, np.array([delta]), target_shift)[1][0]
+
+    # NaN compares false, so an infeasible or missing neighbor makes a band
+    # edge, which still counts; >= on the left and > on the right breaks
+    # plateau ties.
+    left = np.concatenate(([np.nan], scanned[:-1]))
+    right = np.concatenate((scanned[1:], [np.nan]))
+    peaks = np.flatnonzero(np.isfinite(scanned) & ~(left > scanned) & ~(right >= scanned))
+    return [
+        operating_point(alpha, refine_maximum(transmission, grid, scanned, k, tol), target_shift)
+        for k in peaks
+    ]
 
 
 def optimize_detuning(

@@ -17,13 +17,12 @@ import json
 import math
 import shlex
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
 from .apm import optimize_detuning
-from .core import MediumParams
+from .core import DEFAULT_DELTA_RANGE, DEFAULT_DELTA_TOL, DEFAULT_SCAN_STEP, MediumParams
 from .dynamics import (
     NumericalInstability,
     PulseShape,
@@ -62,7 +61,6 @@ def _common_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", default="-", help="output path, '-' for stdout")
     common.add_argument("--format", choices=("csv", "json"), default="csv")
-    common.add_argument("--threads", type=int, default=1, help="sweep-point workers")
     common.add_argument(
         "--config",
         default=None,
@@ -127,10 +125,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--alpha", type=float, nargs="+", required=True)
     p.add_argument("--target", choices=("pi", "half_pi"), default="pi")
-    p.add_argument("--delta-range", type=_parse_pair, default=(0.5, 60.0),
+    p.add_argument("--delta-range", type=_parse_pair, default=DEFAULT_DELTA_RANGE,
                    metavar="LO:HI")
-    p.add_argument("--scan-step", type=float, default=0.05)
-    p.add_argument("--tol", type=float, default=1e-3)
+    p.add_argument("--scan-step", type=float, default=DEFAULT_SCAN_STEP)
+    p.add_argument("--tol", type=float, default=DEFAULT_DELTA_TOL)
     p.set_defaults(handler=cmd_apm)
 
     p = sub.add_parser(
@@ -167,10 +165,10 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--alpha", type=float, nargs="+")
     group.add_argument("--alpha-sweep", type=_parse_sweep, metavar="START:STOP:STEP")
-    p.add_argument("--delta-range", type=_parse_pair, default=(0.5, 60.0),
+    p.add_argument("--delta-range", type=_parse_pair, default=DEFAULT_DELTA_RANGE,
                    metavar="LO:HI")
-    p.add_argument("--scan-step", type=float, default=0.05)
-    p.add_argument("--tol", type=float, default=1e-3)
+    p.add_argument("--scan-step", type=float, default=DEFAULT_SCAN_STEP)
+    p.add_argument("--tol", type=float, default=DEFAULT_DELTA_TOL)
     p.set_defaults(handler=cmd_amplify_sweep)
 
     return parser
@@ -220,14 +218,6 @@ def _inject_config(argv: list[str]) -> list[str]:
     return argv
 
 
-def _parallel_map(fn, items, threads: int) -> list:
-    items = list(items)
-    if threads > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
-
-
 def _terminal_row(phi_r: float, params: MediumParams, samples: int) -> list[float]:
     curve = trace_curve(phi_r, params, n_samples=samples)
     probe_phase, signal_phase = unwrapped_phase(curve)
@@ -243,9 +233,7 @@ def _terminal_row(phi_r: float, params: MediumParams, samples: int) -> list[floa
 def cmd_steady(args) -> tuple[list[str], list[list[float]], dict]:
     params = MediumParams(alpha=args.alpha, delta=args.delta)
     phis = args.phi_r_sweep if args.phi_r_sweep is not None else [args.phi_r]
-    rows = _parallel_map(
-        lambda phi: _terminal_row(phi, params, args.samples), phis, args.threads
-    )
+    rows = [_terminal_row(phi, params, args.samples) for phi in phis]
     return ["phi_r", "T_p", "T_s", "dphi_p", "dphi_s"], rows, {}
 
 
@@ -290,7 +278,7 @@ def cmd_jump(args) -> tuple[list[str], list[list[float]], dict]:
                 row += [zero, abs(zero - sol.critical_depth), step]
         return row
 
-    return columns, _parallel_map(one, deltas, args.threads), {}
+    return columns, [one(delta) for delta in deltas], {}
 
 
 def cmd_apm(args) -> tuple[list[str], list[list[float]], dict]:
@@ -323,7 +311,7 @@ def cmd_apm(args) -> tuple[list[str], list[list[float]], dict]:
         "phase_without",
         "contrast",
     ]
-    return columns, _parallel_map(one, args.alpha, args.threads), {}
+    return columns, [one(alpha) for alpha in args.alpha], {}
 
 
 def cmd_propagate(args) -> tuple[list[str], list[list[float]], dict]:
@@ -395,12 +383,12 @@ def cmd_amplify_sweep(args) -> tuple[list[str], list[list[float]], dict]:
                 r.probe_transmission, r.signal_transmission]
 
     columns = ["alpha", "delta_opt", "phi_r_opt", "T_p", "T_s"]
-    return columns, _parallel_map(one, alphas, args.threads), {}
+    return columns, [one(alpha) for alpha in alphas], {}
 
 
 #: argparse entries that do not affect the computed data and therefore stay
 #: out of the reproducibility header (identical physics => identical bytes).
-_NON_CONFIG_KEYS = ("handler", "command", "out", "format", "threads", "config")
+_NON_CONFIG_KEYS = ("handler", "command", "out", "format", "config")
 
 
 def _config_echo(args) -> dict:

@@ -1,4 +1,5 @@
-"""Shared parameter records, field containers, and unit conventions.
+"""Shared parameter records, field containers, unit conventions, and the
+detuning scan shared by the design optimizers.
 
 All rates and Rabi frequencies are expressed in units of the excited-state
 coherence decay rate Gamma (both excited states decay at the same rate),
@@ -18,11 +19,21 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import minimize_scalar
 
 TWO_PI = 2.0 * np.pi
 
 #: Default bound on |weak field| / |strong field| for the perturbative regime.
 DEFAULT_PERTURBATIVE_RATIO = 0.1
+
+#: Detuning search window covering the useful dispersive regime, in Gamma units.
+DEFAULT_DELTA_RANGE = (0.5, 60.0)
+
+#: Scan step of the coarse detuning grid, in Gamma units.
+DEFAULT_SCAN_STEP = 0.05
+
+#: Golden-section refinement tolerance; the transmission optima are flat-topped.
+DEFAULT_DELTA_TOL = 1e-3
 
 
 def wrap_phase(phi: float) -> float:
@@ -38,6 +49,46 @@ def wrap_signed(phi: float) -> float:
     if wrapped == TWO_PI:
         wrapped = 0.0
     return np.pi - wrapped
+
+
+def detuning_grid(delta_range: tuple[float, float], scan_step: float, tol: float) -> np.ndarray:
+    """Coarse detuning grid of a scan-then-golden optimizer.
+
+    Nodes run from lo in steps of scan_step, the last one clamped to hi.
+    Raises ValueError, before building anything, for a non-finite or empty
+    window and for a non-finite or non-positive step or refinement tolerance.
+    """
+    lo, hi = float(delta_range[0]), float(delta_range[1])
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise ValueError(f"delta_range must be finite with lo < hi, got {delta_range}")
+    if not (math.isfinite(scan_step) and scan_step > 0.0 and math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"scan_step and tol must be finite and > 0, got {scan_step}, {tol}")
+    grid = np.arange(lo, hi + 0.5 * scan_step, scan_step)
+    grid[-1] = min(grid[-1], hi)
+    return grid
+
+
+def refine_maximum(objective, grid: np.ndarray, scanned: np.ndarray, k: int, tol: float) -> float:
+    """Golden-refine the scanned maximum at grid[k] of a scalar objective.
+
+    Only a maximum with finite scanned neighbors on both sides is refined;
+    a band or window edge, a flat-topped bracket, or a non-finite refined
+    value keeps the grid node.
+    """
+    node = float(grid[k])
+    if not (0 < k < grid.size - 1 and np.isfinite(scanned[k - 1]) and np.isfinite(scanned[k + 1])):
+        return node
+    try:
+        result = minimize_scalar(
+            lambda d: -objective(d),
+            bracket=(grid[k - 1], grid[k], grid[k + 1]),
+            method="golden",
+            options={"xtol": tol},
+        )
+    except ValueError:
+        # Flat-topped bracket: the grid candidate already sits within tol.
+        return node
+    return float(result.x) if np.isfinite(result.fun) else node
 
 
 @dataclass(frozen=True)
@@ -115,6 +166,8 @@ class FieldPair:
     def __post_init__(self) -> None:
         object.__setattr__(self, "omega_p", complex(self.omega_p))
         object.__setattr__(self, "omega_s", complex(self.omega_s))
+        if not (cmath.isfinite(self.omega_p) and cmath.isfinite(self.omega_s)):
+            raise ValueError(f"field amplitudes must be finite, got {self}")
 
 
 @dataclass(frozen=True)

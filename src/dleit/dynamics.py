@@ -30,9 +30,17 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import trapezoid
 from scipy.linalg import expm
-from scipy.optimize import minimize_scalar
 
-from .core import FieldPair, MediumParams, wrap_phase
+from .core import (
+    DEFAULT_DELTA_RANGE,
+    DEFAULT_DELTA_TOL,
+    DEFAULT_SCAN_STEP,
+    FieldPair,
+    MediumParams,
+    detuning_grid,
+    refine_maximum,
+    wrap_phase,
+)
 from .steady_state import CoherenceState, balanced_components
 
 #: Default smoothing time of pulse edges, in 1/Gamma.  Hard discontinuities
@@ -44,9 +52,6 @@ INSTABILITY_CHECK_STRIDE = 25
 
 #: A field exceeding this multiple of the peak input aborts the run.
 FIELD_BLOWUP_FACTOR = 10.0
-
-#: Detuning search window for the amplification optimum, in Gamma units.
-DEFAULT_DELTA_RANGE = (0.5, 60.0)
 
 PULSE_KINDS = ("square", "smoothed_square", "gaussian", "cw")
 
@@ -449,14 +454,15 @@ class AmplificationResult:
     signal_transmission: float
 
 
-def peak_transmission(alpha: float, delta: float) -> float:
+def peak_transmission(alpha: float, delta):
     """Best steady transmission of either weak field over the loop phase.
 
     Aligning the non-decaying and decaying mode weights gives
-    (|1+E| + |1-E|)^2 / 4, identical for probe and signal.
+    (|1+E| + |1-E|)^2 / 4, identical for probe and signal.  An array of
+    detunings gives one value per detuning.
     """
     dark, bright = balanced_components(alpha, delta)
-    return (abs(dark) + abs(bright)) ** 2
+    return (np.abs(dark) + np.abs(bright)) ** 2
 
 
 def optimal_relative_phase(alpha: float, delta: float, field: str = "signal") -> float:
@@ -485,8 +491,8 @@ def _terminal_transmissions(alpha: float, delta: float, phi_r: float) -> tuple[f
 def optimize_amplification(
     alpha: float,
     delta_range: tuple[float, float] = DEFAULT_DELTA_RANGE,
-    scan_step: float = 0.05,
-    tol: float = 1e-3,
+    scan_step: float = DEFAULT_SCAN_STEP,
+    tol: float = DEFAULT_DELTA_TOL,
 ) -> AmplificationResult:
     """Maximize steady signal transmission over detuning and loop phase.
 
@@ -496,27 +502,12 @@ def optimize_amplification(
     """
     if not (math.isfinite(alpha) and alpha >= 0.0):
         raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
+    grid = detuning_grid(delta_range, scan_step, tol)
     if alpha == 0.0:
         return AmplificationResult(0.0, math.nan, 0.0, 1.0, 1.0)
-    lo, hi = float(delta_range[0]), float(delta_range[1])
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-        raise ValueError(f"delta_range must be finite with lo < hi, got {delta_range}")
-    grid = np.arange(lo, hi + 0.5 * scan_step, scan_step)
-    grid[-1] = min(grid[-1], hi)
-    scanned = np.array([peak_transmission(alpha, d) for d in grid])
+    scanned = peak_transmission(alpha, grid)
     k = int(np.argmax(scanned))
-    best_delta = float(grid[k])
-    if 0 < k < grid.size - 1:
-        try:
-            result = minimize_scalar(
-                lambda d: -peak_transmission(alpha, d),
-                bracket=(grid[k - 1], grid[k], grid[k + 1]),
-                method="golden",
-                options={"xtol": tol},
-            )
-            best_delta = float(result.x)
-        except ValueError:
-            pass
+    best_delta = refine_maximum(lambda d: peak_transmission(alpha, d), grid, scanned, k, tol)
     phi_opt = optimal_relative_phase(alpha, best_delta, field="signal")
     probe_t, signal_t = _terminal_transmissions(alpha, best_delta, phi_opt)
     return AmplificationResult(
@@ -531,8 +522,8 @@ def optimize_amplification(
 def amplification_sweep(
     alphas,
     delta_range: tuple[float, float] = DEFAULT_DELTA_RANGE,
-    scan_step: float = 0.05,
-    tol: float = 1e-3,
+    scan_step: float = DEFAULT_SCAN_STEP,
+    tol: float = DEFAULT_DELTA_TOL,
 ) -> list[AmplificationResult]:
     """Energy-optimal signal working points for each optical depth."""
     alphas = list(alphas)

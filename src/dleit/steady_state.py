@@ -123,23 +123,25 @@ def exponential_factor(params: MediumParams, zeta):
     return np.exp(-0.5j * np.asarray(zeta, dtype=float) / params.xi)
 
 
-def decay_factor(alpha: float, delta: float) -> complex:
+def decay_factor(alpha: float, delta):
     """Balanced-drive decaying-mode factor after the full medium length.
 
     Equals exp(-i*alpha/(2*xi)) with xi = i + delta, the balanced special
-    case of `exponential_factor`.
+    case of `exponential_factor`.  A scalar `delta` gives a complex; an
+    array gives an array of factors, one per detuning.
     """
     if alpha < 0.0:
         raise ValueError(f"alpha must be >= 0, got {alpha}")
-    return complex(np.exp(-0.5j * alpha / (1j + delta)))
+    env = np.exp(-0.5j * alpha / (1j + delta))
+    return env if np.ndim(env) else complex(env)
 
 
-def balanced_components(alpha: float, delta: float) -> tuple[complex, complex]:
+def balanced_components(alpha: float, delta):
     """Non-decaying and decaying mode weights of the balanced terminal ratio.
 
     The terminal probe ratio is a + c*exp(-i*phi_r) with a = (1+E)/2 and
     c = (1-E)/2 (the signal ratio carries exp(+i*phi_r) instead); both
-    weights are returned.
+    weights are returned, as arrays when `delta` is an array.
     """
     env = decay_factor(alpha, delta)
     return 0.5 * (1.0 + env), 0.5 * (1.0 - env)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import brentq
 
 from dleit.apm import (
     ApmOperatingPoint,
@@ -16,12 +17,53 @@ from dleit.apm import (
     phi_r_for_pi_shift,
     scan_local_maxima,
     terminal_probe_ratio,
+    _ray_solutions,
+)
+from dleit.core import (
+    DEFAULT_DELTA_RANGE,
+    DEFAULT_DELTA_TOL,
+    DEFAULT_SCAN_STEP,
+    detuning_grid,
+    wrap_signed,
 )
 from dleit.phase_jump import critical_depth, jump_phase_probe
 from dleit.steady_state import ZeroFieldError, balanced_components
 
 alphas = st.floats(min_value=0.5, max_value=150.0)
 detunings = st.floats(min_value=0.2, max_value=60.0)
+targets = st.sampled_from(["pi", "half_pi"])
+non_finite = st.sampled_from([np.nan, np.inf, -np.inf])
+
+SOLVERS = {"pi": phi_r_for_pi_shift, "half_pi": phi_r_for_half_pi_shift}
+#: Direction of the ray each target pins the terminal probe ratio to.
+RAYS = {"pi": -1.0, "half_pi": -1.0j}
+
+
+def bracketed_root(alpha, delta, target, n_brackets):
+    """Independent oracle: sign changes of the pinned coordinate on a uniform
+    loop-phase grid, each refined by brentq; among the roots on the target
+    ray the one with the highest transmission wins.  Returns (phi, T) or None.
+    """
+    center, radius = circle_terms(alpha, delta)
+    ray = RAYS[target]
+
+    def pinned(phi):
+        return ((center + radius * np.exp(-1j * phi)) * np.conj(ray)).imag
+
+    nodes = np.linspace(0.0, 2.0 * np.pi, n_brackets + 1)
+    values = [pinned(phi) for phi in nodes]
+    best = None
+    for k in range(n_brackets):
+        if values[k] == 0.0:
+            root = nodes[k]
+        elif values[k] * values[k + 1] < 0.0:
+            root = brentq(pinned, nodes[k], nodes[k + 1], xtol=1e-15)
+        else:
+            continue
+        ratio = center + radius * np.exp(-1j * root)
+        if (ratio * np.conj(ray)).real > 0.0 and (best is None or abs(ratio) ** 2 > best[1]):
+            best = (root, abs(ratio) ** 2)
+    return best
 
 
 def test_circle_terms_delegate_to_mode_split():
@@ -220,3 +262,72 @@ def test_optimize_detuning_rejects_bad_window():
         optimize_detuning(100.0, "pi", delta_range=(5.0, 5.0))
     with pytest.raises(ValueError):
         optimize_detuning(100.0, "pi", scan_step=0.0)
+
+
+@given(alpha=alphas, delta=detunings, target=targets)
+@settings(max_examples=200, deadline=None)
+def test_closed_form_roots_match_bracketed_oracle(alpha, delta, target):
+    oracle = bracketed_root(alpha, delta, target, n_brackets=4096)
+    try:
+        phi = SOLVERS[target](alpha, delta)
+    except InfeasibleError:
+        assert oracle is None
+        return
+    assert oracle is not None
+    assert abs(wrap_signed(phi - oracle[0])) <= 1e-6
+    assert abs(terminal_probe_ratio(alpha, delta, phi)) ** 2 == pytest.approx(oracle[1], abs=1e-9)
+
+
+@pytest.mark.parametrize("alpha, delta", [(100.0, 37.2814), (20.0, 7.153), (50.0, 18.4934)])
+def test_half_pi_finds_near_tangent_root_pair(alpha, delta):
+    # Just inside a band edge the circle grazes the axis and both roots sit
+    # inside one bracket of a 64-bracket sign-change search, which misses
+    # them; the closed form and a 4096-bracket search find the pair.
+    assert bracketed_root(alpha, delta, "half_pi", n_brackets=64) is None
+    phi = phi_r_for_half_pi_shift(alpha, delta)
+    oracle = bracketed_root(alpha, delta, "half_pi", n_brackets=4096)
+    assert abs(wrap_signed(phi - oracle[0])) <= 1e-9
+    ratio = complex(terminal_probe_ratio(alpha, delta, phi))
+    assert abs(ratio.real) < 1e-9
+    assert ratio.imag < 0.0
+
+
+@given(alpha=alphas, target=targets)
+@settings(max_examples=15, deadline=None)
+def test_vectorized_scan_matches_scalar_solver(alpha, target):
+    grid = detuning_grid(DEFAULT_DELTA_RANGE, DEFAULT_SCAN_STEP, DEFAULT_DELTA_TOL)
+    phis, scanned = _ray_solutions(alpha, grid, target)
+    for delta, phi, t in zip(grid, phis, scanned):
+        try:
+            single = SOLVERS[target](alpha, delta)
+        except InfeasibleError:
+            assert np.isnan(phi) and np.isnan(t)
+            continue
+        assert abs(wrap_signed(single - phi)) <= 1e-12
+        assert abs(abs(terminal_probe_ratio(alpha, delta, single)) ** 2 - t) <= 1e-12
+
+
+@given(bad=non_finite, target=targets)
+def test_apm_entry_points_reject_non_finite_inputs(bad, target):
+    solver = SOLVERS[target]
+    calls = [
+        lambda: optimize_detuning(bad, target),
+        lambda: optimize_detuning(100.0, target, delta_range=(0.5, bad)),
+        lambda: optimize_detuning(100.0, target, delta_range=(bad, 60.0)),
+        lambda: optimize_detuning(100.0, target, tol=bad),
+        lambda: scan_local_maxima(100.0, target, scan_step=bad),
+        lambda: operating_point(bad, 16.5, target),
+        lambda: operating_point(100.0, bad, target),
+        lambda: solver(bad, 16.5),
+        lambda: solver(100.0, bad),
+    ]
+
+    def fail(*args, **kwargs):
+        raise AssertionError("computed before the inputs were validated")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("dleit.apm.balanced_components", fail)
+        for call in calls:
+            with pytest.raises(ValueError, match="finite") as info:
+                call()
+            assert not isinstance(info.value, InfeasibleError)

@@ -76,13 +76,16 @@ def test_steady_sweep_json_structure(tmp_path):
     assert payload["data"][0][1] == pytest.approx(1.0, abs=1e-9)
 
 
-def test_threaded_sweep_is_deterministic(tmp_path):
+def test_steady_sweep_is_deterministic(tmp_path):
     argv = ["steady", "--alpha", "10", "--phi-r-sweep", "0:6.28:0.5",
-            "--samples", "200", "--threads", "2"]
-    first = run_csv(tmp_path, "a.csv", argv)
-    second = run_csv(tmp_path, "b.csv", argv)
-    serial = run_csv(tmp_path, "c.csv", argv[:-2])
-    assert first == second == serial
+            "--samples", "200"]
+    assert run_csv(tmp_path, "a.csv", argv) == run_csv(tmp_path, "b.csv", argv)
+
+
+def test_threads_flag_is_gone(capsys):
+    with pytest.raises(SystemExit):
+        main(["steady", "--alpha", "10", "--threads", "2"])
+    assert "--threads" in capsys.readouterr().err
 
 
 def test_phase_diagram_single_and_multi(tmp_path):
@@ -156,9 +159,8 @@ def test_propagate_emits_waveforms_and_energy_meta(tmp_path):
     assert any("group_delay_signal" in line for line in meta)
 
 
-def test_amplify_sweep_threads_deterministic(tmp_path):
-    argv = ["amplify-sweep", "--alpha", "5", "10", "20", "--scan-step", "0.5",
-            "--threads", "3"]
+def test_amplify_sweep_is_deterministic(tmp_path):
+    argv = ["amplify-sweep", "--alpha", "5", "10", "20", "--scan-step", "0.5"]
     first = run_csv(tmp_path, "amp1.csv", argv)
     second = run_csv(tmp_path, "amp2.csv", argv)
     assert first == second

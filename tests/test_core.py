@@ -74,6 +74,14 @@ def test_medium_params_validation():
     assert params.is_balanced
 
 
+@given(non_finite, st.sampled_from(["omega_p", "omega_s"]), st.booleans())
+def test_field_pair_rejects_non_finite_inputs(bad, field, imaginary):
+    kwargs = {"omega_p": 0.01, "omega_s": 0.01j}
+    kwargs[field] = complex(0.01, bad) if imaginary else bad
+    with pytest.raises(ValueError, match="finite"):
+        FieldPair(**kwargs)
+
+
 def test_field_pair_coerces_to_complex():
     pair = FieldPair(omega_p=1, omega_s=0.5)
     assert isinstance(pair.omega_p, complex)

@@ -4,10 +4,17 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import cumulative_trapezoid
 
-from dleit.core import FieldPair, MediumParams
+from dleit.core import (
+    DEFAULT_DELTA_RANGE,
+    DEFAULT_DELTA_TOL,
+    DEFAULT_SCAN_STEP,
+    FieldPair,
+    MediumParams,
+    detuning_grid,
+)
 from dleit.dynamics import (
     PULSE_KINDS,
     AmplificationResult,
@@ -474,6 +481,14 @@ def test_peak_transmission_matches_phase_scan():
         assert peak - brute < 1e-6
 
 
+@given(alpha=st.floats(min_value=0.5, max_value=200.0))
+@settings(max_examples=25)
+def test_peak_transmission_scan_matches_scalar_loop(alpha):
+    grid = detuning_grid(DEFAULT_DELTA_RANGE, DEFAULT_SCAN_STEP, DEFAULT_DELTA_TOL)
+    scalar = np.array([peak_transmission(alpha, float(d)) for d in grid])
+    np.testing.assert_allclose(peak_transmission(alpha, grid), scalar, rtol=0.0, atol=1e-12)
+
+
 def test_optimal_relative_phase_attains_the_peak():
     alpha, delta = 100.0, 34.2
     dark, bright = balanced_components(alpha, delta)
@@ -519,6 +534,10 @@ def test_optimize_amplification_rejects_non_finite_inputs(bad):
         optimize_amplification(10.0, delta_range=(0.5, bad))
     with pytest.raises(ValueError):
         optimize_amplification(10.0, delta_range=(bad, 60.0))
+    with pytest.raises(ValueError):
+        optimize_amplification(10.0, scan_step=bad)
+    with pytest.raises(ValueError):
+        optimize_amplification(10.0, tol=bad)
 
 
 def test_amplification_sweep():
