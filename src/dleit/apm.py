@@ -27,7 +27,13 @@ from .core import (
     refine_maximum,
     wrap_signed,
 )
-from .steady_state import ZeroFieldError, balanced_components, transmission_and_phase
+from .steady_state import (
+    ZERO_FIELD_TOL,
+    ZeroFieldError,
+    balanced_components,
+    balanced_ratios,
+    transmission_and_phase,
+)
 
 #: Verification ceiling for the pinned coordinate of a returned operating point.
 AXIS_TOL = 1e-9
@@ -76,28 +82,6 @@ class ApmOperatingPoint:
             raise ValueError(f"apm_contrast must lie in [0, pi], got {self.apm_contrast}")
 
 
-def circle_terms(alpha: float, delta: float) -> tuple[complex, complex]:
-    """Center and phasor radius of the terminal probe-ratio circle.
-
-    The balanced terminal probe ratio traces center + radius*exp(-i*phi_r)
-    as phi_r is scanned; center and radius are the non-decaying and decaying
-    mode weights.
-    """
-    return balanced_components(alpha, delta)
-
-
-def terminal_probe_ratio(alpha: float, delta: float, phi_r) -> complex | np.ndarray:
-    """Terminal probe field ratio of the balanced medium at loop phase phi_r."""
-    center, radius = circle_terms(alpha, delta)
-    return center + radius * np.exp(-1j * np.asarray(phi_r, dtype=float))
-
-
-def no_signal_ratio(alpha: float, delta: float) -> complex:
-    """Terminal probe ratio with the signal input switched off."""
-    center, _ = circle_terms(alpha, delta)
-    return center
-
-
 def _ray_solutions(
     alpha: float, deltas: np.ndarray, target_shift: str
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -138,8 +122,8 @@ def _ray_solutions(
     return phi, best
 
 
-def _pinned_phase(alpha: float, delta: float, target_shift: str) -> float:
-    """Loop phase of the target at one detuning.
+def _pinned_phase(alpha: float, delta: float, target_shift: str) -> tuple[float, float]:
+    """Loop phase of the target at one detuning, with its transmission.
 
     The one-point case of `_ray_solutions`; raises InfeasibleError where
     the ratio circle does not reach the target ray.
@@ -152,7 +136,7 @@ def _pinned_phase(alpha: float, delta: float, target_shift: str) -> float:
             f"no {target_shift} solution at alpha={alpha}, delta={delta}: "
             f"the ratio circle does not reach the {_TARGET_RAYS[target_shift][1]}"
         )
-    return float(phi[0])
+    return float(phi[0]), float(transmission[0])
 
 
 def phi_r_for_pi_shift(alpha: float, delta: float) -> float:
@@ -163,7 +147,7 @@ def phi_r_for_pi_shift(alpha: float, delta: float) -> float:
     non-finite detuning, and InfeasibleError where the ratio circle does not
     reach the negative real axis.
     """
-    return _pinned_phase(alpha, delta, "pi")
+    return _pinned_phase(alpha, delta, "pi")[0]
 
 
 def phi_r_for_half_pi_shift(alpha: float, delta: float) -> float:
@@ -175,7 +159,7 @@ def phi_r_for_half_pi_shift(alpha: float, delta: float) -> float:
     for a non-finite or non-positive depth or a non-finite detuning, and
     InfeasibleError where the ratio circle does not reach the axis.
     """
-    return _pinned_phase(alpha, delta, "half_pi")
+    return _pinned_phase(alpha, delta, "half_pi")[0]
 
 
 def apm_contrast(alpha: float, delta: float, phi_r: float) -> tuple[float, float, float]:
@@ -185,34 +169,32 @@ def apm_contrast(alpha: float, delta: float, phi_r: float) -> tuple[float, float
     wrapped phase difference in [0, pi].  Raises ZeroFieldError when either
     terminal field has vanished and its phase is undefined.
     """
-    ratio_with = complex(terminal_probe_ratio(alpha, delta, phi_r))
-    ratio_without = no_signal_ratio(alpha, delta)
+    if not math.isfinite(phi_r):
+        raise ValueError(f"phi_r must be finite, got {phi_r}")
+    ratio_without = balanced_components(alpha, delta)[0]
+    ratio_with = complex(balanced_ratios(alpha, delta, phi_r)[0])
     _, phase_with = transmission_and_phase(ratio_with)
     _, phase_without = transmission_and_phase(ratio_without)
     contrast = abs(float(wrap_signed(phase_with - phase_without)))
     return phase_with, phase_without, contrast
 
 
-def _transmission_or_nan_phase(ratio: complex) -> tuple[float, float]:
-    """Transmission plus principal phase, NaN phase for an extinguished field."""
-    try:
-        return transmission_and_phase(ratio)
-    except ZeroFieldError:
-        return abs(ratio) ** 2, np.nan
-
-
 def operating_point(alpha: float, delta: float, target_shift: str) -> ApmOperatingPoint:
     """Evaluate the constrained modulation point at a fixed detuning.
 
-    Either output can be extinguished (the with-signal one right at a
-    critical depth, the signal-off one at resonance); the undefined phases
-    and contrast are then reported as NaN.
+    The with-signal ratio sits on the target ray, so `phase_with` is that
+    ray's angle (pi or -pi/2) exactly.  Either output can be extinguished
+    (the with-signal one right at a critical depth, the signal-off one at
+    resonance); the undefined phases and contrast are then reported as NaN.
     """
-    phi = _pinned_phase(alpha, delta, target_shift)
-    ratio_with = complex(terminal_probe_ratio(alpha, delta, phi))
-    ratio_without = no_signal_ratio(alpha, delta)
-    t_with, phase_with = _transmission_or_nan_phase(ratio_with)
-    t_without, phase_without = _transmission_or_nan_phase(ratio_without)
+    phi, t_with = _pinned_phase(alpha, delta, target_shift)
+    ray_angle = float(np.angle(_TARGET_RAYS[target_shift][0]))
+    phase_with = ray_angle if math.sqrt(t_with) >= ZERO_FIELD_TOL else np.nan
+    ratio_without = balanced_components(alpha, delta)[0]
+    try:
+        t_without, phase_without = transmission_and_phase(ratio_without)
+    except ZeroFieldError:
+        t_without, phase_without = abs(ratio_without) ** 2, np.nan
     if np.isnan(phase_with) or np.isnan(phase_without):
         contrast = np.nan
     else:

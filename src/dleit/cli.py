@@ -42,8 +42,8 @@ def _parse_sweep(spec: str) -> list[float]:
     if len(parts) != 3:
         raise ValueError(f"sweep must be start:stop:step, got {spec!r}")
     start, stop, step = (float(p) for p in parts)
-    if step <= 0.0:
-        raise ValueError(f"sweep step must be > 0, got {step}")
+    if not (math.isfinite(start) and math.isfinite(stop) and math.isfinite(step) and step > 0.0):
+        raise ValueError(f"sweep needs finite bounds and a step > 0, got {spec!r}")
     count = math.floor((stop - start) / step + 1e-9) + 1
     if count < 1:
         raise ValueError(f"sweep {spec!r} contains no points")

@@ -41,7 +41,7 @@ from .core import (
     refine_maximum,
     wrap_phase,
 )
-from .steady_state import CoherenceState, balanced_components
+from .steady_state import CoherenceState, balanced_components, balanced_ratios
 
 #: Default smoothing time of pulse edges, in 1/Gamma.  Hard discontinuities
 #: excite transients that obscure the steady plateau.
@@ -481,13 +481,6 @@ def optimal_relative_phase(alpha: float, delta: float, field: str = "signal") ->
     raise ValueError(f"field must be 'probe' or 'signal', got {field!r}")
 
 
-def _terminal_transmissions(alpha: float, delta: float, phi_r: float) -> tuple[float, float]:
-    dark, bright = balanced_components(alpha, delta)
-    probe = dark + bright * np.exp(-1j * phi_r)
-    signal = dark + bright * np.exp(1j * phi_r)
-    return abs(probe) ** 2, abs(signal) ** 2
-
-
 def optimize_amplification(
     alpha: float,
     delta_range: tuple[float, float] = DEFAULT_DELTA_RANGE,
@@ -509,13 +502,13 @@ def optimize_amplification(
     k = int(np.argmax(scanned))
     best_delta = refine_maximum(lambda d: peak_transmission(alpha, d), grid, scanned, k, tol)
     phi_opt = optimal_relative_phase(alpha, best_delta, field="signal")
-    probe_t, signal_t = _terminal_transmissions(alpha, best_delta, phi_opt)
+    probe, signal = balanced_ratios(alpha, best_delta, phi_opt)
     return AmplificationResult(
         alpha=float(alpha),
         delta_opt=best_delta,
         phi_r_opt=phi_opt,
-        probe_transmission=probe_t,
-        signal_transmission=signal_t,
+        probe_transmission=float(abs(probe) ** 2),
+        signal_transmission=float(abs(signal) ** 2),
     )
 
 

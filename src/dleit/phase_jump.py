@@ -9,6 +9,7 @@ locates field zeros numerically along sampled curves.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,21 +36,6 @@ class JumpSolution:
     signal_jump_phase: float
 
 
-def attenuation_rotation(alpha: float, delta: float) -> tuple[float, float]:
-    """Log-magnitude R and rotation angle I of the decaying-mode factor.
-
-    The balanced-drive factor is exp(R - i*I) with
-    R = -(alpha/2)/(delta^2 + 1) and I = -(alpha/2)*delta/(delta^2 + 1)
-    negated, i.e. I = (alpha/2)*delta/(delta^2 + 1).
-    """
-    if alpha < 0.0:
-        raise ValueError(f"alpha must be >= 0, got {alpha}")
-    denom = delta * delta + 1.0
-    r = -0.5 * alpha / denom
-    i = 0.5 * alpha * delta / denom
-    return r, i
-
-
 def critical_depth(delta: float, n: int = 1) -> float:
     """Optical depth at which the n-th field zero becomes reachable.
 
@@ -57,8 +43,8 @@ def critical_depth(delta: float, n: int = 1) -> float:
     the decaying mode only attenuates and never rotates, so no zero exists
     at any depth.
     """
-    if delta == 0.0:
-        raise ValueError("no critical depth exists at delta = 0")
+    if not (math.isfinite(delta) and delta != 0.0):
+        raise ValueError(f"critical depths need a finite delta != 0, got {delta}")
     if n <= 0 or n % 2 == 0:
         raise ValueError(f"jump order must be a positive odd integer, got {n}")
     return n * np.pi * (delta * delta + 1.0) / abs(delta)
@@ -71,8 +57,8 @@ def _jump_phase(delta: float, n: int, branch_sign: float) -> float:
     which is equivalent to negating the order n; that swaps the roles of
     the two output fields.  The swap is absorbed into the sign of x.
     """
-    if delta == 0.0:
-        raise ValueError("jump phases are undefined at delta = 0")
+    if not (math.isfinite(delta) and delta != 0.0):
+        raise ValueError(f"jump phases need a finite delta != 0, got {delta}")
     if n <= 0 or n % 2 == 0:
         raise ValueError(f"jump order must be a positive odd integer, got {n}")
     x = branch_sign * np.sign(delta) * np.sin(0.5 * np.pi * n) * np.exp(

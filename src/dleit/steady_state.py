@@ -13,6 +13,7 @@ handled numerically by :mod:`dleit.dynamics`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,17 +94,19 @@ def steady_denominator(params: MediumParams) -> complex:
     return -(1j * od2 + (2.0 * params.delta + 1j) * oc2)
 
 
+def _require_undephased(params: MediumParams) -> None:
+    """The one gamma21 = 0 guard of the closed forms."""
+    if params.gamma21 != 0.0:
+        raise ValueError("closed forms require gamma21 = 0; use dleit.dynamics for dephased media")
+
+
 def coherences_steady(params: MediumParams, fields: FieldPair) -> CoherenceState:
     """Steady-state coherences driven by a frozen probe/signal pair.
 
     Valid for gamma21 = 0 (the dark-state coherence rho21 then has no decay
     of its own and the closed form below applies).
     """
-    if params.gamma21 != 0.0:
-        raise ValueError(
-            "closed-form steady-state coherences require gamma21 = 0; "
-            "use dleit.dynamics for dephased media"
-        )
+    _require_undephased(params)
     d = steady_denominator(params)
     if d == 0.0:
         raise ValueError("steady-state denominator vanishes")
@@ -115,24 +118,20 @@ def coherences_steady(params: MediumParams, fields: FieldPair) -> CoherenceState
     return CoherenceState(rho21=rho21, rho31=rho31, rho41=rho41)
 
 
-def exponential_factor(params: MediumParams, zeta):
-    """Attenuation/rotation factor exp(-i*zeta/(2*xi)) of the decaying mode.
-
-    `zeta` may be a scalar or an array.
-    """
-    return np.exp(-0.5j * np.asarray(zeta, dtype=float) / params.xi)
+def _decay_kernel(depth, delta):
+    """Decaying-mode factor exp(-i*depth/(2*(i + delta))) at effective detuning delta."""
+    return np.exp(-0.5j * depth / (1j + delta))
 
 
 def decay_factor(alpha: float, delta):
     """Balanced-drive decaying-mode factor after the full medium length.
 
-    Equals exp(-i*alpha/(2*xi)) with xi = i + delta, the balanced special
-    case of `exponential_factor`.  A scalar `delta` gives a complex; an
-    array gives an array of factors, one per detuning.
+    Equals exp(-i*alpha/(2*xi)) with xi = i + delta.  A scalar `delta` gives
+    a complex; an array gives an array of factors, one per detuning.
     """
     if alpha < 0.0:
         raise ValueError(f"alpha must be >= 0, got {alpha}")
-    env = np.exp(-0.5j * alpha / (1j + delta))
+    env = _decay_kernel(alpha, delta)
     return env if np.ndim(env) else complex(env)
 
 
@@ -154,7 +153,8 @@ def _general_fields(params: MediumParams, incident: FieldPair, zeta):
     osq = params.omega_sq
     cross = oc * np.conj(od) * incident.omega_s
     cross_rev = od * np.conj(oc) * incident.omega_p
-    env = exponential_factor(params, zeta)
+    # xi = i + 2|Omega_c|^2 delta/|Omega|^2: the balanced factor at Re xi.
+    env = _decay_kernel(np.asarray(zeta, dtype=float), params.xi.real)
     probe = ((oc2 * incident.omega_p + cross) + (od2 * incident.omega_p - cross) * env) / osq
     signal = ((od2 * incident.omega_s + cross_rev) + (oc2 * incident.omega_s - cross_rev) * env) / osq
     return probe, signal
@@ -167,20 +167,21 @@ def propagate_general(params: MediumParams, incident: FieldPair, zeta: float) ->
     four-wave-mixing generation case).  Requires gamma21 = 0 and
     0 <= zeta <= alpha.
     """
-    if params.gamma21 != 0.0:
-        raise ValueError(
-            "closed-form propagation requires gamma21 = 0; "
-            "use dleit.dynamics for dephased media"
-        )
+    _require_undephased(params)
     if not 0.0 <= zeta <= params.alpha:
         raise ValueError(f"zeta = {zeta} outside [0, alpha = {params.alpha}]")
     probe, signal = _general_fields(params, incident, float(zeta))
     return FieldPair(omega_p=complex(probe), omega_s=complex(signal))
 
 
-def _balanced_ratios(phi_r: float, params: MediumParams, zeta):
-    """Probe and signal ratios of the balanced closed form, vectorized in zeta."""
-    env = exponential_factor(params, zeta)
+def balanced_ratios(depth, delta, phi_r):
+    """Probe and signal ratios of the balanced closed form at optical depth `depth`.
+
+    The probe ratio is a + c*exp(-i*phi_r) with a = (1+E)/2, c = (1-E)/2 and
+    E = exp(-i*depth/(2*(i + delta))); the signal carries exp(+i*phi_r).
+    Broadcasts over arrays and validates nothing, so NaN passes through.
+    """
+    env = _decay_kernel(np.asarray(depth, dtype=float), delta)
     phase = np.exp(-1j * phi_r)
     probe = 0.5 * ((1.0 + phase) + (1.0 - phase) * env)
     signal = 0.5 * ((1.0 + np.conj(phase)) + (1.0 - np.conj(phase)) * env)
@@ -198,11 +199,9 @@ def propagate_balanced(
     Requires |Omega_c| = |Omega_d|, gamma21 = 0, and 0 <= zeta <= alpha;
     the caller is responsible for |Omega_p(0)| = |Omega_s(0)|.
     """
-    if params.gamma21 != 0.0:
-        raise ValueError(
-            "closed-form propagation requires gamma21 = 0; "
-            "use dleit.dynamics for dephased media"
-        )
+    _require_undephased(params)
+    if not math.isfinite(phi_r):
+        raise ValueError(f"phi_r must be finite, got {phi_r}")
     if not params.is_balanced:
         raise ValueError(
             "balanced solution requires |omega_c| = |omega_d|; "
@@ -210,7 +209,7 @@ def propagate_balanced(
         )
     if not 0.0 <= zeta <= params.alpha:
         raise ValueError(f"zeta = {zeta} outside [0, alpha = {params.alpha}]")
-    probe, signal = _balanced_ratios(float(phi_r), params, float(zeta))
+    probe, signal = balanced_ratios(float(zeta), params.xi.real, float(phi_r))
     return complex(probe), complex(signal)
 
 
@@ -232,11 +231,9 @@ def trace_curve(
     """
     if n_samples < 2:
         raise ValueError(f"n_samples must be >= 2, got {n_samples}")
-    if params.gamma21 != 0.0:
-        raise ValueError(
-            "closed-form propagation requires gamma21 = 0; "
-            "use dleit.dynamics for dephased media"
-        )
+    _require_undephased(params)
+    if incident is None and not math.isfinite(phi_r):
+        raise ValueError(f"phi_r must be finite, got {phi_r}")
     if params.alpha == 0.0:
         one = np.array([1.0 + 0.0j])
         return PropagationCurve(np.array([0.0]), one, one.copy())
@@ -247,7 +244,7 @@ def trace_curve(
                 "phi_r-parameterized tracing requires |omega_c| = |omega_d|; "
                 "pass `incident` to trace an imbalanced configuration"
             )
-        probe, signal = _balanced_ratios(float(phi_r), params, zeta)
+        probe, signal = balanced_ratios(zeta, params.xi.real, float(phi_r))
     else:
         if abs(incident.omega_p) == 0.0 or abs(incident.omega_s) == 0.0:
             raise ValueError(

@@ -9,14 +9,11 @@ from dleit.apm import (
     ApmOperatingPoint,
     InfeasibleError,
     apm_contrast,
-    circle_terms,
-    no_signal_ratio,
     operating_point,
     optimize_detuning,
     phi_r_for_half_pi_shift,
     phi_r_for_pi_shift,
     scan_local_maxima,
-    terminal_probe_ratio,
     _ray_solutions,
 )
 from dleit.core import (
@@ -27,7 +24,7 @@ from dleit.core import (
     wrap_signed,
 )
 from dleit.phase_jump import critical_depth, jump_phase_probe
-from dleit.steady_state import ZeroFieldError, balanced_components
+from dleit.steady_state import ZeroFieldError, balanced_components, balanced_ratios
 
 alphas = st.floats(min_value=0.5, max_value=150.0)
 detunings = st.floats(min_value=0.2, max_value=60.0)
@@ -44,7 +41,7 @@ def bracketed_root(alpha, delta, target, n_brackets):
     loop-phase grid, each refined by brentq; among the roots on the target
     ray the one with the highest transmission wins.  Returns (phi, T) or None.
     """
-    center, radius = circle_terms(alpha, delta)
+    center, radius = balanced_components(alpha, delta)
     ray = RAYS[target]
 
     def pinned(phi):
@@ -66,16 +63,11 @@ def bracketed_root(alpha, delta, target, n_brackets):
     return best
 
 
-def test_circle_terms_delegate_to_mode_split():
-    assert circle_terms(80.0, 12.0) == balanced_components(80.0, 12.0)
-
-
 def test_terminal_ratio_is_center_plus_rotated_radius():
-    center, radius = circle_terms(30.0, 5.0)
+    center, radius = balanced_components(30.0, 5.0)
     phi = 1.3
     expected = center + radius * np.exp(-1j * phi)
-    assert terminal_probe_ratio(30.0, 5.0, phi) == pytest.approx(expected)
-    assert no_signal_ratio(30.0, 5.0) == center
+    assert complex(balanced_ratios(30.0, 5.0, phi)[0]) == pytest.approx(expected)
 
 
 def test_pi_shift_loop_phase_value():
@@ -84,7 +76,7 @@ def test_pi_shift_loop_phase_value():
 
 def test_pi_shift_ratio_sits_on_negative_real_axis():
     phi = phi_r_for_pi_shift(100.0, 16.5)
-    ratio = complex(terminal_probe_ratio(100.0, 16.5, phi))
+    ratio = complex(balanced_ratios(100.0, 16.5, phi)[0])
     assert abs(ratio.imag) < 1e-12
     assert ratio.real < 0.0
 
@@ -98,7 +90,7 @@ def test_pi_shift_ratio_imaginary_part_vanishes(alpha, delta):
         phi = phi_r_for_pi_shift(alpha, delta)
     except InfeasibleError:
         return
-    ratio = complex(terminal_probe_ratio(alpha, delta, phi))
+    ratio = complex(balanced_ratios(alpha, delta, phi)[0])
     assert abs(ratio.imag) < 1e-12
     assert ratio.real < 0.0
 
@@ -117,7 +109,7 @@ def test_pi_shift_infeasible_cases():
 def test_half_pi_shift_ratio_sits_on_negative_imaginary_axis():
     for alpha, delta in ((100.0, 16.5), (100.0, 15.0), (50.0, 7.8), (20.0, 2.84)):
         phi = phi_r_for_half_pi_shift(alpha, delta)
-        ratio = complex(terminal_probe_ratio(alpha, delta, phi))
+        ratio = complex(balanced_ratios(alpha, delta, phi)[0])
         assert abs(ratio.real) < 1e-9
         assert ratio.imag < 0.0
 
@@ -155,12 +147,32 @@ def test_operating_point_bundles_fields():
     assert op.target_shift == "pi"
     assert op.phi_r == phi_r_for_pi_shift(100.0, 16.5)
     assert op.transmission_with_signal == pytest.approx(
-        abs(complex(terminal_probe_ratio(100.0, 16.5, op.phi_r))) ** 2
+        abs(complex(balanced_ratios(100.0, 16.5, op.phi_r)[0])) ** 2
     )
     assert op.transmission_without_signal == pytest.approx(
-        abs(no_signal_ratio(100.0, 16.5)) ** 2
+        abs(balanced_components(100.0, 16.5)[0]) ** 2
     )
     assert op.apm_contrast == pytest.approx(2.611436, abs=1e-5)
+
+
+@pytest.mark.parametrize("target, angle", [("pi", np.pi), ("half_pi", -np.pi / 2)])
+def test_phase_with_is_the_target_ray_angle(target, angle):
+    # The pinned ratio's own np.angle would flip between +pi and -pi with the
+    # sign of a rounding residue; the reported phase is the ray's angle.
+    for alpha in np.arange(10.0, 201.0, 10.0):
+        op = optimize_detuning(alpha, target)
+        assert op.phase_with == angle
+        ratio = complex(balanced_ratios(alpha, op.delta, op.phi_r)[0])
+        assert abs(ratio) ** 2 == pytest.approx(op.transmission_with_signal, abs=1e-12)
+        assert op.apm_contrast == pytest.approx(
+            abs(wrap_signed(np.angle(ratio) - op.phase_without)), abs=1e-9
+        )
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_apm_contrast_rejects_non_finite_loop_phase(bad):
+    with pytest.raises(ValueError, match="phi_r must be finite"):
+        apm_contrast(100.0, 16.5, bad)
 
 
 def test_operating_point_rejects_unknown_target():
@@ -194,7 +206,7 @@ def test_optimize_detuning_matches_dense_scan():
                 phi = solver(100.0, delta)
             except InfeasibleError:
                 return np.nan
-            return abs(complex(terminal_probe_ratio(100.0, delta, phi))) ** 2
+            return abs(complex(balanced_ratios(100.0, delta, phi)[0])) ** 2
 
         scanned = np.array([transmission(d) for d in grid])
         k = int(np.nanargmax(scanned))
@@ -208,7 +220,7 @@ def test_scan_reports_every_feasible_band_maximum():
     assert len(points) >= 2
     assert deltas == sorted(deltas)
     for p in points:
-        ratio = complex(terminal_probe_ratio(100.0, p.delta, p.phi_r))
+        ratio = complex(balanced_ratios(100.0, p.delta, p.phi_r)[0])
         assert abs(ratio.imag) < 1e-9
         assert ratio.real < 0.0
     best = max(points, key=lambda p: p.transmission_with_signal)
@@ -222,7 +234,7 @@ def test_scan_marks_extinguished_band_with_nan_contrast():
     # at a critical point; its output phase and contrast are undefined.
     points = scan_local_maxima(100.0, "pi")
     assert any(
-        np.isnan(p.apm_contrast) and p.transmission_with_signal < 1e-12
+        np.isnan(p.apm_contrast) and np.isnan(p.phase_with) and p.transmission_with_signal < 1e-12
         for p in points
     )
     assert not np.isnan(points[-1].apm_contrast)
@@ -275,7 +287,7 @@ def test_closed_form_roots_match_bracketed_oracle(alpha, delta, target):
         return
     assert oracle is not None
     assert abs(wrap_signed(phi - oracle[0])) <= 1e-6
-    assert abs(terminal_probe_ratio(alpha, delta, phi)) ** 2 == pytest.approx(oracle[1], abs=1e-9)
+    assert abs(balanced_ratios(alpha, delta, phi)[0]) ** 2 == pytest.approx(oracle[1], abs=1e-9)
 
 
 @pytest.mark.parametrize("alpha, delta", [(100.0, 37.2814), (20.0, 7.153), (50.0, 18.4934)])
@@ -287,7 +299,7 @@ def test_half_pi_finds_near_tangent_root_pair(alpha, delta):
     phi = phi_r_for_half_pi_shift(alpha, delta)
     oracle = bracketed_root(alpha, delta, "half_pi", n_brackets=4096)
     assert abs(wrap_signed(phi - oracle[0])) <= 1e-9
-    ratio = complex(terminal_probe_ratio(alpha, delta, phi))
+    ratio = complex(balanced_ratios(alpha, delta, phi)[0])
     assert abs(ratio.real) < 1e-9
     assert ratio.imag < 0.0
 
@@ -304,7 +316,7 @@ def test_vectorized_scan_matches_scalar_solver(alpha, target):
             assert np.isnan(phi) and np.isnan(t)
             continue
         assert abs(wrap_signed(single - phi)) <= 1e-12
-        assert abs(abs(terminal_probe_ratio(alpha, delta, single)) ** 2 - t) <= 1e-12
+        assert abs(abs(balanced_ratios(alpha, delta, single)[0]) ** 2 - t) <= 1e-12
 
 
 @given(bad=non_finite, target=targets)

@@ -31,6 +31,35 @@ def test_parse_sweep_inclusive_grid():
         _parse_sweep("0:1")
     with pytest.raises(ValueError):
         _parse_sweep("0:1:-0.5")
+    for spec in ("0:inf:1", "nan:1:0.5", "0:1:inf", "-inf:0:1", "0:-inf:1"):
+        with pytest.raises(ValueError, match="finite"):
+            _parse_sweep(spec)
+
+
+@pytest.mark.parametrize("argv", [
+    ["jump", "--delta-sweep", "0:inf:1"],
+    ["amplify-sweep", "--alpha-sweep", "1:inf:1"],
+    ["steady", "--alpha", "10", "--phi-r-sweep", "0:nan:0.1"],
+])
+def test_non_finite_sweep_exits_via_parser(argv, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    # argparse reports the rejected spec, not the ValueError text.
+    assert argv[-1] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["steady", "--alpha", "10", "--phi-r", "nan"],
+    ["phase-diagram", "--alpha", "10", "--phi-r", "1", "inf"],
+    ["jump", "--delta", "nan"],
+    ["jump", "--delta", "16.5", "inf"],
+])
+def test_non_finite_angle_or_detuning_exits_2(argv, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr()
+    assert "finite" in err.err
+    assert err.out == ""
 
 
 def test_parse_pair():

@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 
 from dleit.core import MediumParams, wrap_phase
 from dleit.phase_jump import (
-    attenuation_rotation,
     critical_depth,
     detect_zero_crossing,
     jump_phase_probe,
@@ -16,7 +15,6 @@ from dleit.phase_jump import (
 )
 from dleit.steady_state import (
     PropagationCurve,
-    decay_factor,
     propagate_balanced,
     trace_curve,
     unwrapped_phase,
@@ -24,14 +22,6 @@ from dleit.steady_state import (
 
 detunings = st.floats(min_value=0.5, max_value=60.0)
 orders = st.sampled_from([1, 3, 5, 7])
-
-
-def test_attenuation_rotation_matches_decay_factor():
-    for alpha, delta in ((100.0, 16.5), (52.0, -7.0), (3.0, 0.0), (80.0, 34.2)):
-        r, i = attenuation_rotation(alpha, delta)
-        assert np.exp(r - 1j * i) == pytest.approx(
-            decay_factor(alpha, delta), abs=1e-15
-        )
 
 
 def test_critical_depth_values():
@@ -53,6 +43,13 @@ def test_critical_depth_rejects_invalid_inputs():
 def test_jump_phase_values():
     assert jump_phase_probe(16.5, 1) == pytest.approx(4.617333, abs=1e-5)
     assert jump_phase_signal(16.5, 1) == pytest.approx(1.665853, abs=1e-5)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_phase_jump_rejects_non_finite_detuning(bad):
+    for call in (critical_depth, jump_phase_probe, jump_phase_signal, solve_jump):
+        with pytest.raises(ValueError, match="finite"):
+            call(bad)
 
 
 def test_jump_phase_limits_at_large_detuning():

@@ -17,9 +17,9 @@ from dleit.steady_state import (
     PropagationCurve,
     ZeroFieldError,
     balanced_components,
+    balanced_ratios,
     coherences_steady,
     decay_factor,
-    exponential_factor,
     propagate_balanced,
     propagate_general,
     trace_curve,
@@ -169,8 +169,78 @@ def test_decay_factor_value_at_large_detuning():
     env = decay_factor(100.0, 34.2)
     assert env.real == pytest.approx(0.1052, abs=2e-4)
     assert env.imag == pytest.approx(-0.9524, abs=2e-4)
+    # An antisymmetric input excites the decaying mode alone.
     params = MediumParams(alpha=100.0, delta=34.2)
-    assert exponential_factor(params, 100.0) == pytest.approx(env, abs=1e-15)
+    out = propagate_general(params, FieldPair(1.0, -1.0), 100.0)
+    assert out.omega_p == pytest.approx(env, abs=1e-15)
+
+
+def test_decay_factor_polar_form():
+    # |E| = exp(-alpha/(2(delta^2 + 1))), arg E = -alpha*delta/(2(delta^2 + 1)).
+    for alpha, delta in ((100.0, 16.5), (52.0, -7.0), (3.0, 0.0), (80.0, 34.2)):
+        denom = delta * delta + 1.0
+        polar = np.exp(-0.5 * alpha / denom - 0.5j * alpha * delta / denom)
+        assert polar == pytest.approx(decay_factor(alpha, delta), abs=1e-15)
+
+
+balanced_points = st.tuples(
+    st.floats(min_value=0.0, max_value=150.0),
+    st.floats(min_value=-40.0, max_value=40.0),
+    st.floats(min_value=-2 * np.pi, max_value=2 * np.pi),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(points=st.lists(balanced_points, min_size=1, max_size=8), drive=st.floats(0.2, 3.0))
+def test_balanced_ratios_symmetry_broadcast_and_general_limit(points, drive):
+    depth, delta, phi_r = (np.array(column) for column in zip(*points))
+    probe, signal = balanced_ratios(depth, delta, phi_r)
+    # The signal is the probe with the loop phase reversed.
+    mirrored, _ = balanced_ratios(depth, delta, -phi_r)
+    np.testing.assert_allclose(signal, mirrored, rtol=0.0, atol=1e-15)
+    for k, (alpha, det, phi) in enumerate(points):
+        one_probe, one_signal = balanced_ratios(alpha, det, phi)
+        assert abs(one_probe - probe[k]) <= 1e-15 and abs(one_signal - signal[k]) <= 1e-15
+        # At |Omega_c| = |Omega_d| and equal inputs the general form reduces to it.
+        params = MediumParams(alpha=alpha, delta=det, omega_c=drive, omega_d=drive * np.exp(1j * phi))
+        out = propagate_general(params, FieldPair(0.01, 0.01), alpha)
+        assert abs(out.omega_p / 0.01 - probe[k]) <= 1e-12 * max(1.0, abs(probe[k]))
+        assert abs(out.omega_s / 0.01 - signal[k]) <= 1e-12 * max(1.0, abs(signal[k]))
+
+
+def test_balanced_ratios_pass_nan_through():
+    probe, signal = balanced_ratios(np.array([10.0, 10.0]), 2.0, np.array([1.0, np.nan]))
+    assert np.isfinite(probe[0]) and np.isnan(probe[1]) and np.isnan(signal[1])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_balanced_entry_points_reject_non_finite_loop_phase(bad):
+    params = MediumParams(alpha=10.0, delta=2.0)
+    for call in (
+        lambda: propagate_balanced(bad, params, 5.0),
+        lambda: trace_curve(bad, params),
+        lambda: trace_curve(bad, MediumParams(alpha=0.0)),
+    ):
+        with pytest.raises(ValueError, match="phi_r must be finite"):
+            call()
+    # With incident fields the general path takes its phases from them.
+    curve = trace_curve(bad, params, n_samples=8, incident=FieldPair(0.01, 0.01))
+    assert np.all(np.isfinite(curve.probe_ratio))
+
+
+def test_closed_forms_share_one_dephasing_guard():
+    params = MediumParams(alpha=10.0, gamma21=0.05)
+    messages = set()
+    for call in (
+        lambda: coherences_steady(params, FieldPair(0.01, 0.0)),
+        lambda: propagate_general(params, FieldPair(0.01, 0.0), 5.0),
+        lambda: propagate_balanced(1.0, params, 5.0),
+        lambda: trace_curve(1.0, params),
+    ):
+        with pytest.raises(ValueError, match="gamma21 = 0") as info:
+            call()
+        messages.add(str(info.value))
+    assert len(messages) == 1
 
 
 def test_balanced_components_sum_to_one():
