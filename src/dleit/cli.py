@@ -24,14 +24,16 @@ import numpy as np
 from .apm import optimize_detuning
 from .core import DEFAULT_DELTA_RANGE, DEFAULT_DELTA_TOL, DEFAULT_SCAN_STEP, MediumParams
 from .dynamics import (
+    DEFAULT_RISE_TIME,
+    PULSE_KINDS,
     NumericalInstability,
     PulseShape,
     SimGrid,
-    optimize_amplification,
+    amplification_sweep,
     simulate,
 )
 from .phase_jump import detect_zero_crossing, solve_jump
-from .steady_state import trace_curve, unwrapped_phase
+from .steady_state import DEFAULT_CURVE_SAMPLES, trace_curve, unwrapped_phase
 
 COMMANDS = ("steady", "phase-diagram", "jump", "apm", "propagate", "amplify-sweep")
 
@@ -89,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--phi-r", type=float, default=0.0)
     group.add_argument("--phi-r-sweep", type=_parse_sweep, default=None,
                        metavar="START:STOP:STEP")
-    p.add_argument("--samples", type=int, default=2000,
+    p.add_argument("--samples", type=int, default=DEFAULT_CURVE_SAMPLES,
                    help="zeta samples used for phase unwrapping")
     p.set_defaults(handler=cmd_steady)
 
@@ -101,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--delta", type=float, default=0.0)
     p.add_argument("--phi-r", type=float, nargs="+", required=True)
-    p.add_argument("--samples", type=int, default=2000)
+    p.add_argument("--samples", type=int, default=DEFAULT_CURVE_SAMPLES)
     p.set_defaults(handler=cmd_phase_diagram)
 
     p = sub.add_parser(
@@ -115,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=1, help="jump order (odd)")
     p.add_argument("--verify", action="store_true",
                    help="locate the field zero numerically on a traced curve")
-    p.add_argument("--samples", type=int, default=2000)
+    p.add_argument("--samples", type=int, default=DEFAULT_CURVE_SAMPLES)
     p.set_defaults(handler=cmd_jump)
 
     p = sub.add_parser(
@@ -145,11 +147,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--omega-d", type=float, default=1.0)
     p.add_argument("--probe-amp", type=float, default=1e-3)
     p.add_argument("--signal-amp", type=float, default=1e-3)
-    p.add_argument("--pulse", choices=("square", "smoothed_square", "gaussian", "cw"),
-                   default="smoothed_square")
+    p.add_argument("--pulse", choices=PULSE_KINDS, default="smoothed_square")
     p.add_argument("--t-on", type=float, default=10.0)
     p.add_argument("--t-off", type=float, default=210.0)
-    p.add_argument("--rise-time", type=float, default=2.0)
+    p.add_argument("--rise-time", type=float, default=DEFAULT_RISE_TIME)
     p.add_argument("--n-z", type=int, default=200)
     p.add_argument("--dt", type=float, default=0.02)
     p.add_argument("--t-final", type=float, default=400.0)
@@ -246,15 +247,11 @@ def cmd_phase_diagram(args) -> tuple[list[str], list[list[float]], dict]:
     rows: list[list[float]] = []
     for phi in args.phi_r:
         curve = trace_curve(phi, params, n_samples=args.samples)
-        for k in range(len(curve)):
-            row = [
-                float(curve.zeta_grid[k]),
-                float(curve.probe_ratio[k].real),
-                float(curve.probe_ratio[k].imag),
-                float(curve.signal_ratio[k].real),
-                float(curve.signal_ratio[k].imag),
-            ]
-            rows.append([phi] + row if multi else row)
+        probe, signal = curve.probe_ratio, curve.signal_ratio
+        lead = [np.full(len(curve), phi)] if multi else []
+        rows += np.column_stack(
+            lead + [curve.zeta_grid, probe.real, probe.imag, signal.real, signal.imag]
+        ).tolist()
     return columns, rows, {}
 
 
@@ -271,11 +268,8 @@ def cmd_jump(args) -> tuple[list[str], list[list[float]], dict]:
             params = MediumParams(alpha=sol.critical_depth, delta=delta)
             curve = trace_curve(sol.probe_jump_phase, params, n_samples=args.samples)
             zero = detect_zero_crossing(curve, "probe")
-            step = sol.critical_depth / (args.samples - 1)
-            if zero is None:
-                row += [float("nan"), float("nan"), step]
-            else:
-                row += [zero, abs(zero - sol.critical_depth), step]
+            zero = math.nan if zero is None else zero
+            row += [zero, abs(zero - sol.critical_depth), sol.critical_depth / (args.samples - 1)]
         return row
 
     return columns, [one(delta) for delta in deltas], {}
@@ -334,32 +328,12 @@ def cmd_propagate(args) -> tuple[list[str], list[list[float]], dict]:
                             args.rise_time)
     grid = SimGrid(n_z=args.n_z, dt=args.dt, t_final=args.t_final)
     result = simulate(params, probe, signal, grid)
-    idx = np.arange(0, result.time_grid.size, args.t_stride)
-    rows = [
-        [
-            float(result.time_grid[k]),
-            float(result.input_probe[k].real),
-            float(result.input_probe[k].imag),
-            float(result.input_signal[k].real),
-            float(result.input_signal[k].imag),
-            float(result.output_probe[k].real),
-            float(result.output_probe[k].imag),
-            float(result.output_signal[k].real),
-            float(result.output_signal[k].imag),
-        ]
-        for k in idx
-    ]
-    columns = [
-        "t",
-        "re_probe_in",
-        "im_probe_in",
-        "re_signal_in",
-        "im_signal_in",
-        "re_probe_out",
-        "im_probe_out",
-        "re_signal_out",
-        "im_signal_out",
-    ]
+    waves = {"probe_in": result.input_probe, "signal_in": result.input_signal,
+             "probe_out": result.output_probe, "signal_out": result.output_signal}
+    columns = ["t"] + [f"{part}_{name}" for name in waves for part in ("re", "im")]
+    rows = np.column_stack(
+        [result.time_grid] + [part for w in waves.values() for part in (w.real, w.imag)]
+    )[:: args.t_stride].tolist()
     meta = {
         "energy_transmission_probe": result.energy_transmission_probe,
         "energy_transmission_signal": result.energy_transmission_signal,
@@ -371,19 +345,13 @@ def cmd_propagate(args) -> tuple[list[str], list[list[float]], dict]:
 
 def cmd_amplify_sweep(args) -> tuple[list[str], list[list[float]], dict]:
     alphas = args.alpha if args.alpha is not None else args.alpha_sweep
-
-    def one(alpha: float) -> list[float]:
-        r = optimize_amplification(
-            alpha,
-            delta_range=args.delta_range,
-            scan_step=args.scan_step,
-            tol=args.tol,
-        )
-        return [r.alpha, r.delta_opt, r.phi_r_opt,
-                r.probe_transmission, r.signal_transmission]
-
+    results = amplification_sweep(
+        alphas, delta_range=args.delta_range, scan_step=args.scan_step, tol=args.tol
+    )
+    rows = [[r.alpha, r.delta_opt, r.phi_r_opt, r.probe_transmission, r.signal_transmission]
+            for r in results]
     columns = ["alpha", "delta_opt", "phi_r_opt", "T_p", "T_s"]
-    return columns, [one(alpha) for alpha in alphas], {}
+    return columns, rows, {}
 
 
 #: argparse entries that do not affect the computed data and therefore stay

@@ -36,6 +36,14 @@ class JumpSolution:
     signal_jump_phase: float
 
 
+def _check_jump(delta: float, n: int) -> None:
+    """The one (delta, n) check of the critical-depth closed forms."""
+    if not (math.isfinite(delta) and delta != 0.0):
+        raise ValueError(f"phase jumps need a finite delta != 0, got {delta}")
+    if n <= 0 or n % 2 == 0:
+        raise ValueError(f"jump order must be a positive odd integer, got {n}")
+
+
 def critical_depth(delta: float, n: int = 1) -> float:
     """Optical depth at which the n-th field zero becomes reachable.
 
@@ -43,10 +51,7 @@ def critical_depth(delta: float, n: int = 1) -> float:
     the decaying mode only attenuates and never rotates, so no zero exists
     at any depth.
     """
-    if not (math.isfinite(delta) and delta != 0.0):
-        raise ValueError(f"critical depths need a finite delta != 0, got {delta}")
-    if n <= 0 or n % 2 == 0:
-        raise ValueError(f"jump order must be a positive odd integer, got {n}")
+    _check_jump(delta, n)
     return n * np.pi * (delta * delta + 1.0) / abs(delta)
 
 
@@ -57,10 +62,7 @@ def _jump_phase(delta: float, n: int, branch_sign: float) -> float:
     which is equivalent to negating the order n; that swaps the roles of
     the two output fields.  The swap is absorbed into the sign of x.
     """
-    if not (math.isfinite(delta) and delta != 0.0):
-        raise ValueError(f"jump phases need a finite delta != 0, got {delta}")
-    if n <= 0 or n % 2 == 0:
-        raise ValueError(f"jump order must be a positive odd integer, got {n}")
+    _check_jump(delta, n)
     x = branch_sign * np.sign(delta) * np.sin(0.5 * np.pi * n) * np.exp(
         0.5 * np.pi * n / abs(delta)
     )
@@ -88,79 +90,46 @@ def solve_jump(delta: float, n: int = 1) -> JumpSolution:
     )
 
 
-def _refine_minimum(zeta: np.ndarray, mag_sq: np.ndarray, k: int) -> tuple[float, float]:
-    """Vertex of the parabola through samples k-1, k, k+1 of |ratio|^2.
-
-    Returns (zeta*, value*) with the vertex clamped to the bracketing
-    interval; value* is clamped at 0 since |ratio|^2 cannot be negative.
-    """
-    z0, z1, z2 = zeta[k - 1], zeta[k], zeta[k + 1]
-    v0, v1, v2 = mag_sq[k - 1], mag_sq[k], mag_sq[k + 1]
-    h = z1 - z0
-    # Uniform-grid parabola: v(z1 + s*h) = a*s^2 + b*s + v1.
-    a = 0.5 * (v0 + v2) - v1
-    b = 0.5 * (v2 - v0)
-    if a <= 0.0:
-        return float(z1), float(v1)
-    s = np.clip(-b / (2.0 * a), -1.0, 1.0)
-    value = a * s * s + b * s + v1
-    return float(z1 + s * h), float(max(value, 0.0))
-
-
-def _curvature_scale(mag_sq: np.ndarray, k: int) -> float:
-    """Quadratic coefficient a of |ratio|^2 around sample k, in grid units."""
-    return 0.5 * (mag_sq[k - 1] + mag_sq[k + 1]) - mag_sq[k]
-
-
-def zero_crossings(
-    curve: PropagationCurve,
-    which: str = "probe",
-    magnitude_tol: float = ZERO_MAGNITUDE_TOL,
-) -> list[float]:
+def zero_crossings(curve: PropagationCurve, which: str = "probe") -> list[float]:
     """All zeta positions where the chosen field ratio passes through zero.
 
-    Local minima of |ratio|^2 are refined by a three-point parabola.  A
-    minimum counts as a zero when the refined magnitude is below
-    `magnitude_tol`, or when the refined minimum value is smaller than the
-    change of |ratio|^2 over a small fraction of one grid step (the sampled
-    curve cannot distinguish such a near-miss from an exact zero).
+    Local minima of |ratio|^2 (and a falling far boundary) are refined by a
+    three-point parabola clamped to the bracketing interval.  A minimum
+    counts as a zero when the refined magnitude is below ZERO_MAGNITUDE_TOL,
+    or when the refined minimum value is smaller than the change of
+    |ratio|^2 over a small fraction of one grid step (the sampled curve
+    cannot distinguish such a near-miss from an exact zero).
     """
-    if which == "probe":
-        ratio = curve.probe_ratio
-    elif which == "signal":
-        ratio = curve.signal_ratio
-    else:
+    ratio = {"probe": curve.probe_ratio, "signal": curve.signal_ratio}.get(which)
+    if ratio is None:
         raise ValueError(f"which must be 'probe' or 'signal', got {which!r}")
     mag_sq = np.abs(ratio) ** 2
-    zeta = curve.zeta_grid
     if mag_sq.size < 3:
         return []
-    found: list[float] = []
-
-    def classify(k: int) -> None:
-        z_star, v_star = _refine_minimum(zeta, mag_sq, k)
-        if np.sqrt(v_star) < magnitude_tol:
-            found.append(z_star)
-            return
-        a = _curvature_scale(mag_sq, k)
-        if a > 0.0 and v_star < (GRID_WINDOW_FRACTION**2) * a:
-            found.append(z_star)
-
-    for k in range(1, len(mag_sq) - 1):
-        if mag_sq[k] <= mag_sq[k - 1] and mag_sq[k] < mag_sq[k + 1]:
-            classify(k)
+    mid = mag_sq[1:-1]
+    k = np.flatnonzero((mid <= mag_sq[:-2]) & (mid < mag_sq[2:])) + 1
     # A zero can sit at the far boundary (e.g. a curve traced exactly to a
     # critical depth); refine it through the window centered one step in.
     if mag_sq[-1] < mag_sq[-2]:
-        classify(len(mag_sq) - 2)
-    return found
+        k = np.append(k, mag_sq.size - 2)
+    v0, v1, v2 = mag_sq[k - 1], mag_sq[k], mag_sq[k + 1]
+    # Uniform-grid parabola: v(zeta[k] + s*h) = a*s^2 + b*s + v1.  Where it
+    # does not open upward the node itself is the minimum (s = 0); a NaN
+    # curvature keeps s NaN, so such a sample is never a zero.
+    a = 0.5 * (v0 + v2) - v1
+    b = 0.5 * (v2 - v0)
+    plateau = a <= 0.0
+    s = np.clip(np.divide(-b, 2.0 * a, out=np.zeros_like(a), where=~plateau), -1.0, 1.0)
+    value = np.maximum(a * s * s + b * s + v1, 0.0)
+    is_zero = (np.sqrt(value) < ZERO_MAGNITUDE_TOL) | (
+        (a > 0.0) & (value < GRID_WINDOW_FRACTION**2 * a)
+    )
+    zeta = curve.zeta_grid
+    z_star = zeta[k] + s * (zeta[k] - zeta[k - 1])
+    return z_star[is_zero].tolist()
 
 
-def detect_zero_crossing(
-    curve: PropagationCurve,
-    which: str = "probe",
-    magnitude_tol: float = ZERO_MAGNITUDE_TOL,
-) -> float | None:
+def detect_zero_crossing(curve: PropagationCurve, which: str = "probe") -> float | None:
     """First zero of the chosen field ratio along the curve, or None."""
-    zeros = zero_crossings(curve, which, magnitude_tol)
+    zeros = zero_crossings(curve, which)
     return zeros[0] if zeros else None

@@ -127,10 +127,13 @@ def decay_factor(alpha: float, delta):
     """Balanced-drive decaying-mode factor after the full medium length.
 
     Equals exp(-i*alpha/(2*xi)) with xi = i + delta.  A scalar `delta` gives
-    a complex; an array gives an array of factors, one per detuning.
+    a complex; an array gives an array of factors, one per detuning.  A
+    negative or non-finite depth and any non-finite detuning raise ValueError.
     """
-    if alpha < 0.0:
-        raise ValueError(f"alpha must be >= 0, got {alpha}")
+    if not (math.isfinite(alpha) and alpha >= 0.0):
+        raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
+    if not np.isfinite(delta).all():
+        raise ValueError(f"delta must be finite, got {delta}")
     env = _decay_kernel(alpha, delta)
     return env if np.ndim(env) else complex(env)
 

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from dleit.cli import _parse_pair, _parse_sweep, main
+from dleit.core import MediumParams
+from dleit.dynamics import PulseShape, SimGrid, simulate
 
 
 def run_csv(tmp_path, name, argv):
@@ -186,6 +188,27 @@ def test_propagate_emits_waveforms_and_energy_meta(tmp_path):
     assert len(rows) == 41
     assert any("energy_transmission_probe" in line for line in meta)
     assert any("group_delay_signal" in line for line in meta)
+
+
+def test_propagate_rows_are_simulate_arrays_at_stride(tmp_path):
+    text = run_csv(
+        tmp_path, "prop.csv",
+        ["propagate", "--alpha", "5", "--delta", "1.5", "--gamma21", "0.01",
+         "--phi-r", "0.7", "--n-z", "32", "--dt", "0.05", "--t-final", "20",
+         "--t-stride", "7"],
+    )
+    _, _, rows = parse_csv(text)
+    params = MediumParams(alpha=5.0, delta=1.5, gamma21=0.01, omega_c=1.0,
+                          omega_d=np.exp(0.7j))
+    probe = PulseShape("smoothed_square", 1e-3, 10.0, 210.0, 2.0)
+    signal = PulseShape("smoothed_square", 1e-3, 10.0, 210.0, 2.0)
+    result = simulate(params, probe, signal, SimGrid(n_z=32, dt=0.05, t_final=20.0))
+    expected = [result.time_grid]
+    for wave in (result.input_probe, result.input_signal,
+                 result.output_probe, result.output_signal):
+        expected += [wave.real, wave.imag]
+    # CSV floats are repr()-printed, so they round-trip exactly.
+    assert np.array_equal(np.array(rows), np.column_stack(expected)[::7])
 
 
 def test_amplify_sweep_is_deterministic(tmp_path):

@@ -1,11 +1,15 @@
 """Critical depths, jump phases, and numeric zero-crossing detection."""
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from dleit.core import MediumParams, wrap_phase
 from dleit.phase_jump import (
+    GRID_WINDOW_FRACTION,
+    ZERO_MAGNITUDE_TOL,
     critical_depth,
     detect_zero_crossing,
     jump_phase_probe,
@@ -153,6 +157,84 @@ def test_zero_crossings_synthetic_multiple_dips():
     assert zeros[0] == pytest.approx(np.pi / 2, abs=0.01)
     assert zeros[1] == pytest.approx(3 * np.pi / 2, abs=0.01)
     assert zero_crossings(curve, "signal") == []
+
+
+def per_sample_zero_crossings(curve, which="probe"):
+    """The per-sample loop the array zero locator replaced, kept as its oracle."""
+    ratio = curve.probe_ratio if which == "probe" else curve.signal_ratio
+    mag_sq = np.abs(ratio) ** 2
+    zeta = curve.zeta_grid
+    if mag_sq.size < 3:
+        return []
+    found = []
+
+    def classify(k):
+        z0, z1, z2 = zeta[k - 1], zeta[k], zeta[k + 1]
+        v0, v1, v2 = mag_sq[k - 1], mag_sq[k], mag_sq[k + 1]
+        a = 0.5 * (v0 + v2) - v1
+        b = 0.5 * (v2 - v0)
+        if a <= 0.0:
+            z_star, v_star = float(z1), float(v1)
+        else:
+            s = np.clip(-b / (2.0 * a), -1.0, 1.0)
+            value = a * s * s + b * s + v1
+            z_star, v_star = float(z1 + s * (z1 - z0)), float(max(value, 0.0))
+        if np.sqrt(v_star) < ZERO_MAGNITUDE_TOL:
+            found.append(z_star)
+        elif a > 0.0 and v_star < (GRID_WINDOW_FRACTION**2) * a:
+            found.append(z_star)
+
+    for k in range(1, len(mag_sq) - 1):
+        if mag_sq[k] <= mag_sq[k - 1] and mag_sq[k] < mag_sq[k + 1]:
+            classify(k)
+    if mag_sq[-1] < mag_sq[-2]:
+        classify(len(mag_sq) - 2)
+    return found
+
+
+def curve_of(samples, length=1.0):
+    """Probe curve through 1 followed by `samples`, on a uniform grid."""
+    probe = np.array([1.0] + list(samples), dtype=complex)
+    zeta = np.linspace(0.0, length, probe.size)
+    return PropagationCurve(zeta, probe, np.ones_like(probe))
+
+
+# Few distinct levels make ties (m[k] == m[k-1]) and exact or sub-tolerance
+# zeros likely; NaN samples must never produce a zero of their own.
+sample_values = st.one_of(
+    st.sampled_from([0.0, 1e-10, 1e-3, 0.5, 1.0]),
+    st.floats(min_value=-2.0, max_value=2.0),
+    st.just(math.nan),
+)
+
+
+@given(samples=st.lists(sample_values, min_size=0, max_size=40),
+       length=st.floats(min_value=0.1, max_value=200.0))
+@example(samples=[1.0, 0.0, 0.0, 1.0], length=1.0)  # tie at the bottom
+@example(samples=[0.0, 1e-10, 0.0], length=1.0)  # a <= 0 at the far boundary
+@example(samples=[math.nan, 1e-10, 0.0], length=1.0)  # NaN curvature there
+@example(samples=[0.5, 0.2, 0.0], length=1.0)  # falling far boundary
+def test_zero_locator_matches_per_sample_loop(samples, length):
+    curve = curve_of(samples, length)
+    assert zero_crossings(curve, "probe") == per_sample_zero_crossings(curve, "probe")
+
+
+@given(freq=st.floats(min_value=0.1, max_value=20.0),
+       shift=st.floats(min_value=0.0, max_value=2 * np.pi),
+       twist=st.floats(min_value=-1.0, max_value=1.0),
+       n=st.integers(min_value=3, max_value=600))
+def test_zero_locator_matches_per_sample_loop_on_smooth_curves(freq, shift, twist, n):
+    zeta = np.linspace(0.0, 6.0, n)
+    curve = curve_of(np.cos(freq * zeta[1:] + shift) * np.exp(1j * twist * zeta[1:]), 6.0)
+    assert zero_crossings(curve, "probe") == per_sample_zero_crossings(curve, "probe")
+
+
+def test_zero_locator_plateau_and_nan_curvature():
+    # Where the parabola does not open upward the node itself is reported;
+    # a NaN curvature (NaN neighbour) yields no zero.
+    curve = curve_of([0.0, 1e-10, 0.0])
+    assert zero_crossings(curve)[-1] == curve.zeta_grid[2]
+    assert zero_crossings(curve_of([math.nan, 1e-10, 0.0])) == []
 
 
 def test_zero_crossings_rejects_unknown_field():

@@ -11,7 +11,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
+from dleit.apm import apm_contrast
 from dleit.core import FieldPair, MediumParams, wrap_signed
+from dleit.dynamics import optimal_relative_phase, peak_transmission
 from dleit.steady_state import (
     CoherenceState,
     PropagationCurve,
@@ -226,6 +228,24 @@ def test_balanced_entry_points_reject_non_finite_loop_phase(bad):
     # With incident fields the general path takes its phases from them.
     curve = trace_curve(bad, params, n_samples=8, incident=FieldPair(0.01, 0.01))
     assert np.all(np.isfinite(curve.probe_ratio))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("entry", [
+    decay_factor,
+    balanced_components,
+    peak_transmission,
+    optimal_relative_phase,
+    lambda alpha, delta: apm_contrast(alpha, delta, 1.0),
+], ids=["decay_factor", "balanced_components", "peak_transmission",
+        "optimal_relative_phase", "apm_contrast"])
+def test_balanced_closed_forms_reject_non_finite_depth_or_detuning(entry, bad):
+    # Every entry point goes through decay_factor, which must raise rather
+    # than return NaN (or, for delta = +-inf, a silent factor of 1); one bad
+    # entry of a detuning array is enough.
+    for alpha, delta in ((bad, 16.5), (100.0, bad), (100.0, np.array([1.0, bad, 3.0]))):
+        with pytest.raises(ValueError, match="finite"):
+            entry(alpha, delta)
 
 
 def test_closed_forms_share_one_dephasing_guard():
