@@ -9,11 +9,9 @@ all in Gamma units.
 """
 
 from .core import (
-    DerivedQuantities,
     FieldPair,
     MediumParams,
     PerturbativeCheck,
-    derive,
     validate_perturbative,
     wrap_phase,
     wrap_signed,
@@ -63,7 +61,6 @@ from .dynamics import (
     peak_transmission,
     simulate,
     steady_cw_output,
-    step_coherences,
     step_fields,
 )
 
@@ -73,7 +70,6 @@ __all__ = [
     "AmplificationResult",
     "ApmOperatingPoint",
     "CoherenceState",
-    "DerivedQuantities",
     "FieldPair",
     "InfeasibleError",
     "JumpSolution",
@@ -92,7 +88,6 @@ __all__ = [
     "coherences_steady",
     "critical_depth",
     "decay_factor",
-    "derive",
     "detect_zero_crossing",
     "jump_phase_probe",
     "jump_phase_signal",
@@ -109,7 +104,6 @@ __all__ = [
     "simulate",
     "solve_jump",
     "steady_cw_output",
-    "step_coherences",
     "step_fields",
     "trace_curve",
     "transmission_and_phase",

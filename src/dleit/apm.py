@@ -24,7 +24,7 @@ from .core import (
     DEFAULT_SCAN_STEP,
     TWO_PI,
     detuning_grid,
-    refine_maximum,
+    refine_maxima,
     wrap_signed,
 )
 from .steady_state import (
@@ -223,10 +223,10 @@ def scan_local_maxima(
 
     The whole grid is evaluated by one closed-form array expression.
     The feasible set can split into several bands; every band contributes
-    its local maxima (band edges included), each refined by golden-section
-    search when it sits strictly inside the feasible region.  Points are
-    returned in increasing detuning order.  Raises InfeasibleError when the
-    whole range is infeasible.
+    its local maxima (band edges included); those strictly inside the
+    feasible region are refined together by one array golden-section
+    loop.  Points are returned in increasing detuning order.  Raises
+    InfeasibleError when the whole range is infeasible.
     """
     grid = detuning_grid(delta_range, scan_step, tol)
     _, scanned = _ray_solutions(alpha, grid, target_shift)
@@ -236,19 +236,16 @@ def scan_local_maxima(
             f"[{float(delta_range[0])}, {float(delta_range[1])}] at alpha={alpha}"
         )
 
-    def transmission(delta: float) -> float:
-        return _ray_solutions(alpha, np.array([delta]), target_shift)[1][0]
-
     # NaN compares false, so an infeasible or missing neighbor makes a band
     # edge, which still counts; >= on the left and > on the right breaks
     # plateau ties.
     left = np.concatenate(([np.nan], scanned[:-1]))
     right = np.concatenate((scanned[1:], [np.nan]))
     peaks = np.flatnonzero(np.isfinite(scanned) & ~(left > scanned) & ~(right >= scanned))
-    return [
-        operating_point(alpha, refine_maximum(transmission, grid, scanned, k, tol), target_shift)
-        for k in peaks
-    ]
+    deltas = refine_maxima(
+        lambda d: _ray_solutions(alpha, d, target_shift)[1], grid, scanned, peaks, tol
+    )
+    return [operating_point(alpha, delta, target_shift) for delta in deltas.tolist()]
 
 
 def optimize_detuning(

@@ -1,5 +1,5 @@
 """Shared parameter records, field containers, unit conventions, and the
-detuning scan shared by the design optimizers.
+detuning scan and golden refinement shared by the design optimizers.
 
 All rates and Rabi frequencies are expressed in units of the excited-state
 coherence decay rate Gamma (both excited states decay at the same rate),
@@ -9,7 +9,7 @@ complex Rabi amplitudes; the loop relative phase
 
     phi_r = (phi_p - phi_c) - (phi_s - phi_d)
 
-is derived on demand rather than stored.
+is never stored: the closed forms take it as an argument.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 TWO_PI = 2.0 * np.pi
 
@@ -68,27 +67,50 @@ def detuning_grid(delta_range: tuple[float, float], scan_step: float, tol: float
     return grid
 
 
-def refine_maximum(objective, grid: np.ndarray, scanned: np.ndarray, k: int, tol: float) -> float:
-    """Golden-refine the scanned maximum at grid[k] of a scalar objective.
+def refine_maxima(objective, grid: np.ndarray, scanned: np.ndarray, ks, tol: float) -> np.ndarray:
+    """Golden-refine the scanned maxima at grid[ks] of a vectorized objective.
 
-    Only a maximum with finite scanned neighbors on both sides is refined;
-    a band or window edge, a flat-topped bracket, or a non-finite refined
-    value keeps the grid node.
+    One array copy of scipy's golden-section loop (`minimize_scalar` with
+    method "golden" on -objective, bracket (grid[k-1], grid[k], grid[k+1]),
+    relative xtol = tol) runs every candidate at once, each to its own stop
+    test.  Only a maximum with finite scanned neighbors that rises strictly
+    above both is refined; a band or window edge, a flat-topped bracket, or
+    a non-finite refined value keeps the grid node.
     """
-    node = float(grid[k])
-    if not (0 < k < grid.size - 1 and np.isfinite(scanned[k - 1]) and np.isfinite(scanned[k + 1])):
-        return node
-    try:
-        result = minimize_scalar(
-            lambda d: -objective(d),
-            bracket=(grid[k - 1], grid[k], grid[k + 1]),
-            method="golden",
-            options={"xtol": tol},
-        )
-    except ValueError:
-        # Flat-topped bracket: the grid candidate already sits within tol.
-        return node
-    return float(result.x) if np.isfinite(result.fun) else node
+    ks = np.asarray(ks, dtype=np.intp)
+    refined = grid[ks].astype(float)
+    inner = (ks > 0) & (ks < grid.size - 1)
+    inner[inner] = np.isfinite(scanned[ks[inner] - 1]) & np.isfinite(scanned[ks[inner] + 1])
+    k = ks[inner]
+    xa, xb, xc = grid[k - 1], grid[k], grid[k + 1]
+    fa, fb, fc = objective(np.concatenate((xa, xb, xc))).reshape(3, -1)
+    # Comparisons read scipy's on -objective with both sides swapped.
+    bracketed = (fb > fa) & (fb > fc)
+    g_r = 0.61803399  # scipy's rounded golden-ratio conjugate
+    g_c = 1.0 - g_r
+    x0, x3 = xa, xc
+    wide = np.abs(xc - xb) > np.abs(xb - xa)
+    x1 = np.where(wide, xb, xb - g_c * (xb - xa))
+    x2 = np.where(wide, xb + g_c * (xc - xb), xb)
+    f1, f2 = objective(np.concatenate((x1, x2))).reshape(2, -1)
+    live = bracketed.copy()
+    for _ in range(5000):  # scipy's maxiter
+        live &= ~(np.abs(x3 - x0) <= tol * (np.abs(x1) + np.abs(x2)))
+        if not live.any():
+            break
+        up = live & (f2 > f1)
+        down = live & ~up
+        x0, x3 = np.where(up, x1, x0), np.where(down, x2, x3)
+        x1, x2 = np.where(up, x2, x1), np.where(down, x1, x2)
+        f1, f2 = np.where(up, f2, f1), np.where(down, f1, f2)
+        x1 = np.where(down, g_r * x2 + g_c * x0, x1)
+        x2 = np.where(up, g_r * x1 + g_c * x3, x2)
+        fresh = objective(np.where(up, x2, x1))  # finished candidates are evaluated, never updated
+        f1, f2 = np.where(down, fresh, f1), np.where(up, fresh, f2)
+    first = f1 > f2
+    best, value = np.where(first, x1, x2), np.where(first, f1, f2)
+    refined[inner] = np.where(bracketed & np.isfinite(value), best, xb)
+    return refined
 
 
 @dataclass(frozen=True)
@@ -168,37 +190,6 @@ class FieldPair:
         object.__setattr__(self, "omega_s", complex(self.omega_s))
         if not (cmath.isfinite(self.omega_p) and cmath.isfinite(self.omega_s)):
             raise ValueError(f"field amplitudes must be finite, got {self}")
-
-
-@dataclass(frozen=True)
-class DerivedQuantities:
-    """Quantities derived from a parameter set and a boundary field pair."""
-
-    omega_sq: float
-    xi: complex
-    relative_phase: float
-
-
-def derive(params: MediumParams, boundary: FieldPair) -> DerivedQuantities:
-    """Compute |Omega|^2, xi, and the loop relative phase phi_r.
-
-    phi_r = (phi_p - phi_c) - (phi_s - phi_d), wrapped into [0, 2*pi).
-    Raises ValueError if both strong drives vanish (xi undefined).
-    """
-    omega_sq = params.omega_sq
-    if omega_sq == 0.0:
-        raise ValueError("|Omega|^2 = 0: xi is undefined")
-    phi_r = (
-        np.angle(boundary.omega_p)
-        - np.angle(params.omega_c)
-        - np.angle(boundary.omega_s)
-        + np.angle(params.omega_d)
-    )
-    return DerivedQuantities(
-        omega_sq=omega_sq,
-        xi=params.xi,
-        relative_phase=wrap_phase(phi_r),
-    )
 
 
 @dataclass(frozen=True)

@@ -28,8 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import trapezoid
-from scipy.linalg import expm
 
 from .core import (
     DEFAULT_DELTA_RANGE,
@@ -38,10 +36,10 @@ from .core import (
     FieldPair,
     MediumParams,
     detuning_grid,
-    refine_maximum,
+    refine_maxima,
     wrap_phase,
 )
-from .steady_state import CoherenceState, balanced_components, balanced_ratios
+from .steady_state import balanced_components, balanced_ratios
 
 #: Default smoothing time of pulse edges, in 1/Gamma.  Hard discontinuities
 #: excite transients that obscure the steady plateau.
@@ -218,6 +216,23 @@ def _obe_matrix(
     )
 
 
+def _expm(a: np.ndarray) -> np.ndarray:
+    """Matrix exponential: the degree-18 Taylor series of a/2^s, squared s times.
+
+    s is the fewest halvings that bring the 1-norm to 0.5 or below, where the
+    series (summed in Horner form) is accurate to 0.5^19/19! ~ 1e-23 relative.
+    """
+    norm = np.abs(a).sum(axis=0).max()
+    squarings = math.ceil(math.log2(2.0 * norm)) if norm > 0.5 else 0
+    scaled = a / 2.0**squarings
+    result = eye = np.eye(a.shape[0], dtype=complex)
+    for j in range(18, 0, -1):
+        result = eye + (scaled / j) @ result
+    for _ in range(squarings):
+        result = result @ result
+    return result
+
+
 @functools.lru_cache(maxsize=128)
 def _propagators(
     delta: float, gamma21: float, omega_c: complex, omega_d: complex, dt: float
@@ -232,25 +247,12 @@ def _propagators(
     aug = np.zeros((6, 6), dtype=complex)
     aug[:3, :3] = _obe_matrix(delta, gamma21, omega_c, omega_d)
     aug[:3, 3:] = np.eye(3)
-    exp_aug = expm(aug * dt)
+    exp_aug = _expm(aug * dt)
     step = exp_aug[:3, :3].copy()
     source = exp_aug[:3, 3:].copy()
     step.setflags(write=False)
     source.setflags(write=False)
     return step, source
-
-
-def step_coherences(
-    state: CoherenceState, fields: FieldPair, params: MediumParams, dt: float
-) -> CoherenceState:
-    """Advance one grid point's coherences by dt with the fields held fixed."""
-    step, source = _propagators(
-        params.delta, params.gamma21, params.omega_c, params.omega_d, float(dt)
-    )
-    x = state.as_array()
-    b = 0.5j * np.array([fields.omega_s, fields.omega_p, 0.0], dtype=complex)
-    y = step @ x + source @ b
-    return CoherenceState(rho41=y[0], rho31=y[1], rho21=y[2])
 
 
 def _rebuild_fields(
@@ -302,15 +304,20 @@ def step_fields(
     return fields[1], fields[0]
 
 
+def _trapezoid(y: np.ndarray, x: np.ndarray) -> float:
+    """Trapezoid rule over samples y(x)."""
+    return float((np.diff(x) * (y[1:] + y[:-1]) / 2.0).sum())
+
+
 def _energy(series: np.ndarray, times: np.ndarray) -> float:
-    return float(trapezoid(np.abs(series) ** 2, times))
+    return _trapezoid(np.abs(series) ** 2, times)
 
 
 def _centroid(series: np.ndarray, times: np.ndarray) -> float:
     energy = _energy(series, times)
     if energy <= 0.0:
         return math.nan
-    return float(trapezoid(times * np.abs(series) ** 2, times)) / energy
+    return _trapezoid(times * np.abs(series) ** 2, times) / energy
 
 
 def simulate(
@@ -439,7 +446,7 @@ def steady_cw_output(params: MediumParams, boundary: FieldPair, zeta: float | No
     c_map = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]], dtype=complex)
     generator = 0.25 * c_map @ np.linalg.solve(hom, b_map)
     fields0 = np.array([boundary.omega_p, boundary.omega_s], dtype=complex)
-    fields = expm(generator * zeta) @ fields0
+    fields = _expm(generator * zeta) @ fields0
     return FieldPair(omega_p=fields[0], omega_s=fields[1])
 
 
@@ -499,8 +506,8 @@ def optimize_amplification(
     if alpha == 0.0:
         return AmplificationResult(0.0, math.nan, 0.0, 1.0, 1.0)
     scanned = peak_transmission(alpha, grid)
-    k = int(np.argmax(scanned))
-    best_delta = refine_maximum(lambda d: peak_transmission(alpha, d), grid, scanned, k, tol)
+    peak = [np.argmax(scanned)]
+    best_delta = refine_maxima(lambda d: peak_transmission(alpha, d), grid, scanned, peak, tol).item()
     phi_opt = optimal_relative_phase(alpha, best_delta, field="signal")
     probe, signal = balanced_ratios(alpha, best_delta, phi_opt)
     return AmplificationResult(

@@ -24,6 +24,9 @@ ZERO_MAGNITUDE_TOL = 1e-9
 #: travels over this fraction of a step are classified as zero crossings.
 GRID_WINDOW_FRACTION = 0.1
 
+#: Largest relative spread of the zeta steps the uniform-grid parabola accepts.
+UNIFORM_GRID_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class JumpSolution:
@@ -98,7 +101,9 @@ def zero_crossings(curve: PropagationCurve, which: str = "probe") -> list[float]
     counts as a zero when the refined magnitude is below ZERO_MAGNITUDE_TOL,
     or when the refined minimum value is smaller than the change of
     |ratio|^2 over a small fraction of one grid step (the sampled curve
-    cannot distinguish such a near-miss from an exact zero).
+    cannot distinguish such a near-miss from an exact zero).  The parabola
+    assumes uniform spacing: a zeta grid whose steps spread by more than
+    UNIFORM_GRID_TOL relative raises ValueError.
     """
     ratio = {"probe": curve.probe_ratio, "signal": curve.signal_ratio}.get(which)
     if ratio is None:
@@ -106,6 +111,10 @@ def zero_crossings(curve: PropagationCurve, which: str = "probe") -> list[float]
     mag_sq = np.abs(ratio) ** 2
     if mag_sq.size < 3:
         return []
+    zeta = curve.zeta_grid
+    steps = np.diff(zeta)
+    if np.ptp(steps) > UNIFORM_GRID_TOL * steps.max():
+        raise ValueError("zero_crossings needs a uniformly spaced zeta_grid")
     mid = mag_sq[1:-1]
     k = np.flatnonzero((mid <= mag_sq[:-2]) & (mid < mag_sq[2:])) + 1
     # A zero can sit at the far boundary (e.g. a curve traced exactly to a
@@ -124,7 +133,6 @@ def zero_crossings(curve: PropagationCurve, which: str = "probe") -> list[float]
     is_zero = (np.sqrt(value) < ZERO_MAGNITUDE_TOL) | (
         (a > 0.0) & (value < GRID_WINDOW_FRACTION**2 * a)
     )
-    zeta = curve.zeta_grid
     z_star = zeta[k] + s * (zeta[k] - zeta[k - 1])
     return z_star[is_zero].tolist()
 

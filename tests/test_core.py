@@ -1,4 +1,4 @@
-"""Unit conventions, parameter validation, and derived quantities."""
+"""Unit conventions and parameter validation."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 from dleit.core import (
     FieldPair,
     MediumParams,
-    derive,
     validate_perturbative,
     wrap_phase,
     wrap_signed,
@@ -72,6 +71,8 @@ def test_medium_params_validation():
     params = MediumParams(alpha=5.0, delta=2.0)
     assert params.omega_sq == pytest.approx(2.0)
     assert params.is_balanced
+    phased = MediumParams(alpha=1.0, omega_c=np.exp(0.3j), omega_d=np.exp(0.5j))
+    assert phased.omega_sq == pytest.approx(2.0)
 
 
 @given(non_finite, st.sampled_from(["omega_p", "omega_s"]), st.booleans())
@@ -95,16 +96,6 @@ def test_xi_examples():
     assert detuned.xi == pytest.approx(16.5 + 1j)
 
 
-def test_relative_phase_example():
-    params = MediumParams(
-        alpha=1.0, omega_c=np.exp(0.3j), omega_d=np.exp(0.5j)
-    )
-    boundary = FieldPair(omega_p=1.0, omega_s=1.0)
-    derived = derive(params, boundary)
-    assert derived.relative_phase == pytest.approx(0.2)
-    assert derived.omega_sq == pytest.approx(2.0)
-
-
 @given(
     delta=st.floats(min_value=-40.0, max_value=40.0, allow_nan=False),
     mag_c=magnitudes,
@@ -113,28 +104,6 @@ def test_relative_phase_example():
 def test_xi_imaginary_part_is_exactly_one(delta, mag_c, mag_d):
     params = MediumParams(alpha=1.0, delta=delta, omega_c=mag_c, omega_d=mag_d)
     assert params.xi.imag == 1.0
-
-
-@given(
-    phi_p=angles, phi_s=angles, phi_c=angles, phi_d=angles, rotation=angles
-)
-def test_relative_phase_invariant_under_global_rotation(
-    phi_p, phi_s, phi_c, phi_d, rotation
-):
-    def phi_r(shift):
-        params = MediumParams(
-            alpha=1.0,
-            omega_c=np.exp(1j * (phi_c + shift)),
-            omega_d=np.exp(1j * (phi_d + shift)),
-        )
-        boundary = FieldPair(
-            omega_p=np.exp(1j * (phi_p + shift)),
-            omega_s=np.exp(1j * (phi_s + shift)),
-        )
-        return derive(params, boundary).relative_phase
-
-    base, rotated = phi_r(0.0), phi_r(rotation)
-    assert abs(wrap_signed(base - rotated)) < 1e-9
 
 
 def test_validate_perturbative_examples():

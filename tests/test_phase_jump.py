@@ -244,6 +244,18 @@ def test_zero_crossings_rejects_unknown_field():
         zero_crossings(curve, "pump")
 
 
+def test_zero_crossings_rejects_non_uniform_grid():
+    # On this grid the uniform-step parabola put the zero of 1 - zeta at
+    # 0.9761; a linspace grid through the same span finds 1.0.
+    zeta = np.array([0.0, 0.5, 0.9, 1.05, 2.0, 3.0])
+    curve = PropagationCurve(zeta, 1.0 - zeta, np.ones_like(zeta))
+    with pytest.raises(ValueError, match="uniform"):
+        zero_crossings(curve, "probe")
+    zeta = np.linspace(0.0, 3.0, 7)
+    curve = PropagationCurve(zeta, 1.0 - zeta, np.ones_like(zeta))
+    assert zero_crossings(curve, "probe") == pytest.approx([1.0], abs=1e-12)
+
+
 def test_near_miss_is_not_classified_as_zero():
     # Slightly off the jump phase the minimum misses zero by more than the
     # one-grid-step travel and must not be reported.
