@@ -33,7 +33,7 @@ from .dynamics import (
     simulate,
 )
 from .phase_jump import detect_zero_crossing, solve_jump
-from .steady_state import DEFAULT_CURVE_SAMPLES, trace_curve, unwrapped_phase
+from .steady_state import DEFAULT_CURVE_SAMPLES, balanced_ratios, trace_curve
 
 COMMANDS = ("steady", "phase-diagram", "jump", "apm", "propagate", "amplify-sweep")
 
@@ -219,22 +219,28 @@ def _inject_config(argv: list[str]) -> list[str]:
     return argv
 
 
-def _terminal_row(phi_r: float, params: MediumParams, samples: int) -> list[float]:
-    curve = trace_curve(phi_r, params, n_samples=samples)
-    probe_phase, signal_phase = unwrapped_phase(curve)
-    return [
-        phi_r,
-        float(np.abs(curve.probe_ratio[-1]) ** 2),
-        float(np.abs(curve.signal_ratio[-1]) ** 2),
-        float(probe_phase[-1]),
-        float(signal_phase[-1]),
-    ]
+#: (phi_r, zeta) points per broadcast of the steady sweep: the stacked
+#: temporaries stay under 128 KiB, reused by the allocator, not mapped afresh.
+STEADY_CHUNK_POINTS = 4096
 
 
 def cmd_steady(args) -> tuple[list[str], list[list[float]], dict]:
     params = MediumParams(alpha=args.alpha, delta=args.delta)
-    phis = args.phi_r_sweep if args.phi_r_sweep is not None else [args.phi_r]
-    rows = [_terminal_row(phi, params, args.samples) for phi in phis]
+    phis = np.array(args.phi_r_sweep if args.phi_r_sweep is not None else [args.phi_r])
+    if args.samples < 2 or not np.isfinite(phis).all():
+        raise ValueError(f"need samples >= 2 and finite phi_r, got {args.samples}, {args.phi_r}")
+    # alpha = 0 traces the single-point identity curve
+    zeta = np.linspace(0.0, params.alpha, args.samples if params.alpha > 0.0 else 1)
+    chunk = max(1, STEADY_CHUNK_POINTS // zeta.size)
+    ends = []
+    for i in range(0, phis.size, chunk):
+        ratios = np.stack(balanced_ratios(zeta, params.xi.real, phis[i : i + chunk, None]))
+        ratios[:, :, 0] = 1.0  # pinned as in trace_curve, so each unwrap starts at 0
+        ends.append(np.vstack([np.abs(ratios[:, :, -1]), np.unwrap(np.angle(ratios))[:, :, -1]]))
+    # Squared as Python floats (libm pow), as the per-curve rows always were;
+    # numpy's array square can differ from pow in the last bit.
+    ends = np.hstack(ends).tolist()
+    rows = [[phi, mp**2, ms**2, dp, ds] for phi, mp, ms, dp, ds in zip(phis.tolist(), *ends)]
     return ["phi_r", "T_p", "T_s", "dphi_p", "dphi_s"], rows, {}
 
 

@@ -9,7 +9,9 @@ enter the Gamma-unit formulation).
 The integrator splits each time step: fields are frozen while every grid
 point's coherences advance by an exact matrix-exponential update, then the
 fields are rebuilt by trapezoidal integration in zeta from the incident
-boundary values.  The splitting is first order in dt, but the coherence
+boundary values.  Coherences and fields share one (5, n_z) state array, so
+the frozen-field update of every grid point is a single (3, 5) matrix
+product per step.  The splitting is first order in dt, but the coherence
 update itself is exact, so there is no stiffness limit from the detuning
 and the CW fixed point is independent of dt (its error comes from the zeta
 quadrature alone).
@@ -350,44 +352,38 @@ def simulate(
     peak_input = max(np.abs(input_probe).max(), np.abs(input_signal).max())
     field_bound = FIELD_BLOWUP_FACTOR * peak_input
 
-    # Fields are one (2, n_z) array in (signal, probe) row order, lined up
-    # with the coherence rows (rho41, rho31) that drive them; every buffer
-    # below is reused across steps.
+    # The state is one (5, n_z) array with rows (rho41, rho31, rho21, signal,
+    # probe), the field rows lined up with the coherence rows (rho41, rho31)
+    # that drive them.  Two buffers, each carried with its (coherence, field)
+    # row views, alternate as current and next state: one matmul with
+    # update = [P | (i/2) S[:, :2]] writes the next coherences from the whole
+    # current state, then the trapezoid rebuild fills the next field rows.
     edges = np.stack([input_signal, input_probe], axis=1)[:, :, None]
-    drive = 0.5j * source[:, :2]
+    update = np.hstack([step, 0.5j * source[:, :2]])
     half_dz = 0.25j * np.diff(zeta)
-    x = np.zeros((3, grid.n_z), dtype=complex)
-    scratch = np.empty_like(x)
-    fields = np.empty((2, grid.n_z), dtype=complex)
+    cur, nxt = ((buf, buf[:3], buf[3:]) for buf in np.zeros((2, 5, grid.n_z), dtype=complex))
     incr = np.empty((2, grid.n_z - 1), dtype=complex)
-    _rebuild_fields(x, half_dz, edges[0], fields, incr)
+    _, coh, fields = cur
+    _rebuild_fields(coh, half_dz, edges[0], fields, incr)
 
     outputs = np.empty((2, n_steps + 1), dtype=complex)
     outputs[:, 0] = fields[:, -1]
-
-    saved_times: list[float] = []
-    saved_fields: list[np.ndarray] = []
-    saved_coh: list[np.ndarray] = []
-
-    def save(k: int) -> None:
-        saved_times.append(times[k])
-        saved_fields.append(fields.copy())
-        saved_coh.append(x.copy())
-
+    map_steps = np.append(np.arange(0, n_steps, map_stride), n_steps)
+    states = np.empty((map_steps.size if store_maps else 0, 5, grid.n_z), dtype=complex)
     if store_maps:
-        save(0)
+        states[0] = cur[0]
 
     for k in range(1, n_steps + 1):
-        np.matmul(step, x, out=scratch)
-        np.matmul(drive, fields, out=x)
-        x += scratch
-        _rebuild_fields(x, half_dz, edges[k], fields, incr)
+        _, coh, fields = nxt
+        np.matmul(update, cur[0], out=coh)
+        _rebuild_fields(coh, half_dz, edges[k], fields, incr)
+        cur, nxt = nxt, cur
         outputs[:, k] = fields[:, -1]
         if store_maps and (k % map_stride == 0 or k == n_steps):
-            save(k)
+            states[np.searchsorted(map_steps, k)] = cur[0]
         if k % INSTABILITY_CHECK_STRIDE == 0 or k == n_steps:
             # written so that NaN fails the test as well as overflow
-            rho_peak = np.abs(x).max()
+            rho_peak = np.abs(coh).max()
             field_peak = np.abs(fields).max()
             if not (rho_peak <= 1.0 and field_peak <= field_bound):
                 raise NumericalInstability(
@@ -397,9 +393,10 @@ def simulate(
                 )
 
     output_signal, output_probe = outputs
-    field_map_signal, field_map_probe = (
-        np.array(saved_fields).swapaxes(0, 1) if store_maps else (None, None)
-    )
+    maps = {}
+    if store_maps:
+        maps = dict(map_times=times[map_steps], field_map_signal=states[:, 3],
+                    field_map_probe=states[:, 4], coherence_map=states[:, :3])
     energy_in_probe = _energy(input_probe, times)
     energy_in_signal = _energy(input_signal, times)
     t_probe = _energy(output_probe, times) / energy_in_probe if energy_in_probe > 0 else 0.0
@@ -420,10 +417,7 @@ def simulate(
         group_delay_probe=delay_probe,
         group_delay_signal=delay_signal,
         zeta_grid=zeta,
-        map_times=np.array(saved_times) if store_maps else None,
-        field_map_probe=field_map_probe,
-        field_map_signal=field_map_signal,
-        coherence_map=np.array(saved_coh) if store_maps else None,
+        **maps,
     )
 
 

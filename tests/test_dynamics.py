@@ -206,8 +206,12 @@ def test_step_fields_matches_cumulative_trapezoid(zeta):
     assert np.abs(signal - ref_signal).max() <= 1e-15 * scale
 
 
-def reference_outputs(params, probe_pulse, signal_pulse, grid):
-    """The split-step scheme written plainly: one scipy quadrature per field."""
+def reference_states(params, probe_pulse, signal_pulse, grid):
+    """The split-step scheme written plainly: one scipy quadrature per field.
+
+    Returns every step's state, shape (n_steps + 1, 5, n_z), with rows
+    (rho41, rho31, rho21, signal, probe).
+    """
     zeta = grid.zeta(params.alpha)
     times = grid.times()
     step, source = _propagators(
@@ -216,20 +220,18 @@ def reference_outputs(params, probe_pulse, signal_pulse, grid):
     input_probe = probe_pulse.envelope(times)
     input_signal = signal_pulse.envelope(times)
     x = np.zeros((3, grid.n_z), dtype=complex)
-    out_probe = np.empty(times.size, dtype=complex)
-    out_signal = np.empty(times.size, dtype=complex)
+    states = np.empty((times.size, 5, grid.n_z), dtype=complex)
     for k in range(times.size):
         if k > 0:
             b = 0.5j * np.array([signal, probe, np.zeros(grid.n_z)])
             x = step @ x + source @ b
         probe = input_probe[k] + cumulative_trapezoid(0.5j * x[1], zeta, initial=0.0)
         signal = input_signal[k] + cumulative_trapezoid(0.5j * x[0], zeta, initial=0.0)
-        out_probe[k], out_signal[k] = probe[-1], signal[-1]
-    return out_probe, out_signal
+        states[k, :3], states[k, 3], states[k, 4] = x, signal, probe
+    return states
 
 
-@pytest.mark.parametrize("n_z", [16, 64])
-@pytest.mark.parametrize(
+REFERENCE_CASES = pytest.mark.parametrize(
     "params, probe, signal",
     [
         (
@@ -245,12 +247,31 @@ def reference_outputs(params, probe_pulse, signal_pulse, grid):
     ],
     ids=["cw", "dephased_pulse"],
 )
+
+
+@pytest.mark.parametrize("n_z", [16, 64])
+@REFERENCE_CASES
 def test_simulate_matches_reference_loop(n_z, params, probe, signal):
     grid = SimGrid(n_z=n_z, dt=0.05, t_final=20.0)
     res = simulate(params, probe, signal, grid)
-    ref_probe, ref_signal = reference_outputs(params, probe, signal, grid)
-    assert np.abs(res.output_probe - ref_probe).max() <= 1e-15 * AMP
-    assert np.abs(res.output_signal - ref_signal).max() <= 1e-15 * AMP
+    ref = reference_states(params, probe, signal, grid)
+    assert np.abs(res.output_probe - ref[:, 4, -1]).max() <= 1e-15 * AMP
+    assert np.abs(res.output_signal - ref[:, 3, -1]).max() <= 1e-15 * AMP
+
+
+@pytest.mark.parametrize("map_stride", [1, 7])
+@REFERENCE_CASES
+def test_simulate_maps_match_reference_loop(map_stride, params, probe, signal):
+    # Every saved snapshot, interior grid points included, against the
+    # plain loop: a stale or wrongly sliced state buffer errs by O(AMP).
+    grid = SimGrid(n_z=64, dt=0.05, t_final=20.0)
+    res = simulate(params, probe, signal, grid, store_maps=True, map_stride=map_stride)
+    steps = [k for k in range(grid.n_steps + 1) if k % map_stride == 0 or k == grid.n_steps]
+    ref = reference_states(params, probe, signal, grid)[steps]
+    assert np.array_equal(res.map_times, grid.times()[steps])
+    assert np.abs(res.coherence_map - ref[:, :3]).max() <= 1e-12 * AMP
+    assert np.abs(res.field_map_signal - ref[:, 3]).max() <= 1e-12 * AMP
+    assert np.abs(res.field_map_probe - ref[:, 4]).max() <= 1e-12 * AMP
 
 
 def test_simulate_map_snapshots_are_copies():
