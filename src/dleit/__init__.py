@@ -20,6 +20,7 @@ from .steady_state import (
     CoherenceState,
     PropagationCurve,
     ZeroFieldError,
+    accumulated_phase,
     balanced_components,
     balanced_ratios,
     coherences_steady,
@@ -81,6 +82,7 @@ __all__ = [
     "PulseSimResult",
     "SimGrid",
     "ZeroFieldError",
+    "accumulated_phase",
     "amplification_sweep",
     "apm_contrast",
     "balanced_components",

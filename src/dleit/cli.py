@@ -33,7 +33,7 @@ from .dynamics import (
     simulate,
 )
 from .phase_jump import detect_zero_crossing, solve_jump
-from .steady_state import DEFAULT_CURVE_SAMPLES, balanced_ratios, trace_curve
+from .steady_state import DEFAULT_CURVE_SAMPLES, accumulated_phase, balanced_ratios, trace_curve
 
 COMMANDS = ("steady", "phase-diagram", "jump", "apm", "propagate", "amplify-sweep")
 
@@ -92,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--phi-r-sweep", type=_parse_sweep, default=None,
                        metavar="START:STOP:STEP")
     p.add_argument("--samples", type=int, default=DEFAULT_CURVE_SAMPLES,
-                   help="zeta samples used for phase unwrapping")
+                   help="kept for compatibility; the closed-form phases do not use it")
     p.set_defaults(handler=cmd_steady)
 
     p = sub.add_parser(
@@ -219,28 +219,18 @@ def _inject_config(argv: list[str]) -> list[str]:
     return argv
 
 
-#: (phi_r, zeta) points per broadcast of the steady sweep: the stacked
-#: temporaries stay under 128 KiB, reused by the allocator, not mapped afresh.
-STEADY_CHUNK_POINTS = 4096
-
-
 def cmd_steady(args) -> tuple[list[str], list[list[float]], dict]:
     params = MediumParams(alpha=args.alpha, delta=args.delta)
     phis = np.array(args.phi_r_sweep if args.phi_r_sweep is not None else [args.phi_r])
     if args.samples < 2 or not np.isfinite(phis).all():
         raise ValueError(f"need samples >= 2 and finite phi_r, got {args.samples}, {args.phi_r}")
-    # alpha = 0 traces the single-point identity curve
-    zeta = np.linspace(0.0, params.alpha, args.samples if params.alpha > 0.0 else 1)
-    chunk = max(1, STEADY_CHUNK_POINTS // zeta.size)
-    ends = []
-    for i in range(0, phis.size, chunk):
-        ratios = np.stack(balanced_ratios(zeta, params.xi.real, phis[i : i + chunk, None]))
-        ratios[:, :, 0] = 1.0  # pinned as in trace_curve, so each unwrap starts at 0
-        ends.append(np.vstack([np.abs(ratios[:, :, -1]), np.unwrap(np.angle(ratios))[:, :, -1]]))
+    ends = np.vstack([np.abs(balanced_ratios(params.alpha, params.xi.real, phis)),
+                      accumulated_phase(params.alpha, params.xi.real, phis)])
+    if params.alpha == 0.0:  # the identity medium, pinned exactly as trace_curve pins zeta = 0
+        ends = np.repeat([[1.0], [1.0], [0.0], [0.0]], phis.size, axis=1)
     # Squared as Python floats (libm pow), as the per-curve rows always were;
     # numpy's array square can differ from pow in the last bit.
-    ends = np.hstack(ends).tolist()
-    rows = [[phi, mp**2, ms**2, dp, ds] for phi, mp, ms, dp, ds in zip(phis.tolist(), *ends)]
+    rows = [[phi, mp**2, ms**2, dp, ds] for phi, mp, ms, dp, ds in zip(phis.tolist(), *ends.tolist())]
     return ["phi_r", "T_p", "T_s", "dphi_p", "dphi_s"], rows, {}
 
 

@@ -288,3 +288,27 @@ def unwrapped_phase(curve: PropagationCurve) -> tuple[np.ndarray, np.ndarray]:
     probe = np.unwrap(np.angle(curve.probe_ratio))
     signal = np.unwrap(np.angle(curve.signal_ratio))
     return probe, signal
+
+
+def accumulated_phase(alpha, delta, phi_r):
+    """Closed-form accumulated probe and signal phases at optical depth `alpha`.
+
+    The terminal entries of `unwrapped_phase` on a balanced curve, unsampled.
+    The probe ratio a + b*e^{kappa*zeta}, with a, b = (1 +- e^{-i*phi_r})/2
+    and kappa = -i/(2*(i + delta)), keeps its phase within pi/2 of its leading
+    term's: b*e^{kappa*zeta} up to zeta* = ln(|a|/|b|)/Re kappa, then a plus
+    the turns made by zeta*, onto which the principal phase is lifted
+    (derivation in README.md).  Broadcasts over `phi_r`; on a path through a
+    field zero (a phase jump) the branch is arbitrary.
+    """
+    kappa = -0.5j / (1j + delta)
+    phi = np.asarray(phi_r, dtype=float)
+    turn = np.exp(-1j * np.stack([phi, -phi]))  # the signal ratio is the probe's at -phi_r
+    a, b = 0.5 * (1.0 + turn), 0.5 * (1.0 - turn)
+    with np.errstate(divide="ignore"):  # b = 0 at phi_r = 0
+        meet = np.maximum(np.log(np.abs(a) / np.abs(b)) / kappa.real, 0.0)
+    turns = np.round((np.angle(b) - np.angle(a) + kappa.imag * meet) / (2.0 * np.pi))
+    lead = np.where(alpha < meet, np.angle(b) + kappa.imag * alpha, np.angle(a) + 2.0 * np.pi * turns)
+    principal = np.angle(balanced_ratios(alpha, delta, phi))
+    probe, signal = principal + 2.0 * np.pi * np.round((lead - principal) / (2.0 * np.pi))
+    return probe, signal

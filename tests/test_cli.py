@@ -9,6 +9,7 @@ import pytest
 from dleit.cli import _parse_pair, _parse_sweep, main
 from dleit.core import MediumParams
 from dleit.dynamics import PulseShape, SimGrid, simulate
+from dleit.steady_state import trace_curve, unwrapped_phase
 
 
 def run_csv(tmp_path, name, argv):
@@ -76,6 +77,76 @@ def test_steady_zero_depth_row(tmp_path):
     assert columns == ["phi_r", "T_p", "T_s", "dphi_p", "dphi_s"]
     assert rows == [[0.0, 1.0, 1.0, 0.0, 0.0]]
     assert any("alpha = 0.0" in line for line in meta)
+    # The identity medium is pinned to exact rows over a whole sweep.
+    text = run_csv(tmp_path, "sweep.csv", ["steady", "--alpha", "0", "--phi-r-sweep", "0:6.2832:0.5"])
+    _, _, rows = parse_csv(text)
+    assert rows == [[phi, 1.0, 1.0, 0.0, 0.0] for phi in _parse_sweep("0:6.2832:0.5")]
+    assert ",-0.0" not in text
+
+
+def _sampled_steady_rows(alpha, delta, phis):
+    """The sampled route the closed form replaced: one 2,000-sample curve per phi_r."""
+    params = MediumParams(alpha=alpha, delta=delta)
+    rows = []
+    for phi in phis:
+        curve = trace_curve(phi, params, n_samples=2000)
+        dphi_p, dphi_s = (float(phase[-1]) for phase in unwrapped_phase(curve))
+        # numpy's array |z| and its scalar |z| can differ in the last bit;
+        # the CLI takes the array one.
+        t_p, t_s = (float(np.abs(ratio)[-1]) ** 2 for ratio in (curve.probe_ratio, curve.signal_ratio))
+        rows.append([phi, t_p, t_s, dphi_p, dphi_s])
+    return rows
+
+
+@pytest.mark.parametrize("alpha, delta", [
+    (100.0, 16.5),  # the README sweep
+    *(tuple(np.round(np.random.default_rng(seed).uniform((20.0, -30.0), (200.0, 30.0)), 6))
+      for seed in (1, 2)),
+])
+def test_steady_sweep_matches_sampled_unwrap(tmp_path, alpha, delta):
+    spec = "0:6.2832:0.02"
+    argv = ["steady", "--alpha", repr(float(alpha)), "--delta", repr(float(delta)), "--phi-r-sweep", spec]
+    text = run_csv(tmp_path, "steady.csv", argv)
+    lines = text.splitlines()
+    assert lines[:7] == [
+        "# command = steady",
+        f"# alpha = {float(alpha)}",
+        f"# delta = {float(delta)}",
+        "# phi_r = 0.0",
+        f"# phi_r_sweep = {_parse_sweep(spec)}",
+        "# samples = 2000",
+        "phi_r,T_p,T_s,dphi_p,dphi_s",
+    ]
+    expected = _sampled_steady_rows(alpha, delta, _parse_sweep(spec))
+    assert len(lines) == 7 + len(expected)
+    for line, ref in zip(lines[7:], expected):
+        fields = line.split(",")
+        assert fields[:3] == [repr(v) for v in ref[:3]]
+        # One closed-form evaluation against an unwrap over 2,000 samples:
+        # the same winding, up to rounding.
+        for got, want in zip(fields[3:], ref[3:]):
+            assert abs(float(got) - want) <= 1e-12, (line, ref)
+
+
+@pytest.mark.filterwarnings("error")
+def test_steady_single_mode_loop_phases(tmp_path):
+    # phi_r = 0 leaves only the non-decaying mode (b = 0), phi_r = pi only
+    # the decaying one (a = 0 up to rounding); neither may divide by zero.
+    _, _, rows = parse_csv(run_csv(tmp_path, "zero.csv", ["steady", "--alpha", "40", "--delta", "3"]))
+    assert rows == [[0.0, 1.0, 1.0, 0.0, 0.0]]
+    argv = ["steady", "--alpha", "40", "--delta", "3", "--phi-r", repr(math.pi)]
+    _, _, rows = parse_csv(run_csv(tmp_path, "pi.csv", argv))
+    assert rows[0] == pytest.approx(_sampled_steady_rows(40.0, 3.0, [math.pi])[0], abs=1e-12)
+
+
+def test_steady_samples_is_validated_and_echoed(tmp_path, capsys):
+    assert main(["steady", "--alpha", "3", "--samples", "1"]) == 2
+    assert "samples" in capsys.readouterr().err
+    few = run_csv(tmp_path, "few.csv", ["steady", "--alpha", "3", "--delta", "0.5", "--phi-r", "0.3", "--samples", "16"])
+    many = run_csv(tmp_path, "many.csv", ["steady", "--alpha", "3", "--delta", "0.5", "--phi-r", "0.3"])
+    assert "# samples = 16" in few.splitlines()
+    # The closed-form phases do not depend on the sample count.
+    assert few.replace("# samples = 16", "# samples = 2000") == many
 
 
 def test_steady_near_half_turn_is_opaque(tmp_path):

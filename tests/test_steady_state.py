@@ -14,10 +14,12 @@ from scipy.integrate import solve_ivp
 from dleit.apm import apm_contrast
 from dleit.core import FieldPair, MediumParams, wrap_signed
 from dleit.dynamics import optimal_relative_phase, peak_transmission
+from dleit.phase_jump import solve_jump
 from dleit.steady_state import (
     CoherenceState,
     PropagationCurve,
     ZeroFieldError,
+    accumulated_phase,
     balanced_components,
     balanced_ratios,
     coherences_steady,
@@ -402,6 +404,77 @@ def test_trace_curve_probe_phase_zero_crossing_location():
     crossing = curve.zeta_grid[1:][sign_change[0]]
     assert 35.0 < crossing < 45.0
     assert phase[-1] > 0.0
+
+
+#: zeta step of the sampled oracle.  Between samples the curve a + b*e^{kappa*zeta}
+#: leaves its chord by at most |kappa|^2*step^2/8 <= 7.8e-7 (|kappa| <= 1/2,
+#: |b*e^{kappa*zeta}| <= 1), so the unwrap of a polyline that stays farther
+#: than WINDING_SKIP_BELOW from 0 counts the true winding.
+WINDING_STEP = 0.005
+WINDING_SKIP_BELOW = 1e-5
+
+
+def _closest_approach(ratio):
+    """Distance from 0 to the polyline through the sampled ratios."""
+    start, step = ratio[:-1], np.diff(ratio)
+    t = -(np.conj(start) * step).real / np.maximum(np.abs(step) ** 2, 1e-300)
+    return np.abs(start + np.clip(t, 0.0, 1.0) * step).min()
+
+
+def _winding_cases():
+    turns = [0.0, 0.5 * np.pi, np.pi, 1.5 * np.pi, 2.0 * np.pi]
+    grid = list(np.linspace(0.0, 2.0 * np.pi, 13)[1:-1] + 0.1) + [np.pi - 1e-3, np.pi + 1e-3]
+    for alpha in (0.5, 20.0, 100.0, 200.0):
+        for delta in (-12.0, -3.0, -0.7, 0.0, 1.0, 3.0, 16.5):
+            yield alpha, delta, turns + grid
+    # +-1e-3 around both jump phases, below, at and above the critical depth.
+    for delta in (-16.5, 5.0, 16.5):
+        sol = solve_jump(delta, 1)
+        near = [phi + d for phi in (sol.probe_jump_phase, sol.signal_jump_phase)
+                for d in np.linspace(-1e-3, 1e-3, 5)]
+        for scale in (0.98, 1.0, 1.02):
+            yield scale * sol.critical_depth, delta, near
+
+
+@pytest.mark.filterwarnings("error")
+def test_accumulated_phase_matches_sampled_unwrap():
+    checked = skipped = 0
+    widest = 0.0
+    for alpha, delta, phis in _winding_cases():
+        params = MediumParams(alpha=alpha, delta=delta)
+        probe, signal = accumulated_phase(alpha, params.xi.real, np.array(phis))
+        for phi, got_p, got_s in zip(phis, probe, signal):
+            curve = trace_curve(phi, params, n_samples=int(alpha / WINDING_STEP) + 2)
+            closest = min(_closest_approach(curve.probe_ratio), _closest_approach(curve.signal_ratio))
+            if closest < WINDING_SKIP_BELOW:
+                skipped += 1
+                continue
+            ref_p, ref_s = (phase[-1] for phase in unwrapped_phase(curve))
+            assert got_p == pytest.approx(ref_p, abs=1e-12), (alpha, delta, phi)
+            assert got_s == pytest.approx(ref_s, abs=1e-12), (alpha, delta, phi)
+            widest = max(widest, abs(ref_p), abs(ref_s))
+            checked += 1
+    # The skipped paths pass within 2e-8 of a field zero, where the phase is
+    # undefined: the exact jump phases at and above the critical depth
+    # (2 phases x 3 detunings x 2 depths), and phi_r = pi at delta in
+    # {-0.7, 0, 1} and alpha in {100, 200}, where the decaying term falls
+    # towards the ~6e-17 non-decaying weight that rounding pi leaves.
+    assert skipped == 18
+    assert checked == 576
+    assert widest > 4.0 * np.pi
+
+
+@pytest.mark.filterwarnings("error")
+def test_accumulated_phase_trivial_loop_phases():
+    phis = np.array([0.0, np.pi])
+    probe, signal = accumulated_phase(30.0, 0.0, phis)
+    # phi_r = 0 (b = 0): the medium is transparent and every phase is 0.
+    assert probe[0] == 0.0 and signal[0] == 0.0
+    # phi_r = pi on resonance: real decay, up to the 6e-17 left of a by
+    # rounding pi, against |b|*e^{-15} = 3e-7.
+    assert abs(probe[1]) < 1e-9 and abs(signal[1]) < 1e-9
+    # Zero depth starts every branch at 0.
+    assert np.allclose(accumulated_phase(0.0, 7.0, np.linspace(0.0, 6.0, 7)), 0.0, atol=1e-15)
 
 
 def test_trace_curve_resonant_opaque_is_real_decay():
