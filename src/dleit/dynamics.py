@@ -27,6 +27,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,6 +61,14 @@ class NumericalInstability(RuntimeError):
     """The integrator state left the physically meaningful range."""
 
 
+def _integer(name: str, value) -> int:
+    """`value` as an int; ValueError for anything non-integral, floats included."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class SimGrid:
     """Discretization of the simulation box.
@@ -73,6 +82,7 @@ class SimGrid:
     t_final: float = 400.0
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "n_z", _integer("n_z", self.n_z))
         if self.n_z < 16:
             raise ValueError(f"n_z must be >= 16, got {self.n_z}")
         if not (math.isfinite(self.dt) and self.dt > 0.0):
@@ -257,25 +267,26 @@ def _propagators(
     return step, source
 
 
-def _rebuild_fields(
-    coherences: np.ndarray,
-    half_dz: np.ndarray,
-    edge: np.ndarray,
-    fields: np.ndarray,
-    incr: np.ndarray,
-) -> None:
-    """Trapezoid field rebuild in zeta, written in place into `fields`.
+def _rebuild_views(coherences: np.ndarray, fields: np.ndarray) -> tuple[np.ndarray, ...]:
+    """What `_rebuild_fields` reads and writes, sliced once per state buffer."""
+    return coherences[:2, :-1], coherences[:2, 1:], fields[:, 1:], fields[:, :1]
 
-    `fields` has shape (2, n_z) in (signal, probe) row order, matching the
-    driving coherence rows (rho41, rho31) of `coherences`; `half_dz` is
-    (i/4) diff(zeta), `edge` the (2, 1) incident boundary values and `incr`
-    a (2, n_z - 1) scratch buffer.
+
+def _rebuild_fields(views: tuple, half_dz: np.ndarray, edge: np.ndarray, incr: np.ndarray) -> None:
+    """Trapezoid field rebuild in zeta, written in place through `views`.
+
+    `views` are the driving coherence rows (rho41, rho31) without their last
+    and without their first column, the (signal, probe) field rows from
+    column 1 and their column 0; `half_dz` is (i/4) diff(zeta), `edge` the
+    (2, 1) incident boundary values and `incr` a (2, n_z - 1) scratch buffer.
+    The ufuncs are called directly: `add.accumulate` is what `cumsum` runs.
     """
-    np.add(coherences[:2, :-1], coherences[:2, 1:], out=incr)
-    incr *= half_dz
-    np.cumsum(incr, axis=1, out=fields[:, 1:])
-    fields[:, 1:] += edge
-    fields[:, :1] = edge
+    left, right, tail, head = views
+    np.add(left, right, out=incr)
+    np.multiply(incr, half_dz, out=incr)
+    np.add.accumulate(incr, axis=1, out=tail)
+    np.add(tail, edge, out=tail)
+    head[...] = edge
 
 
 def step_fields(
@@ -296,13 +307,8 @@ def step_fields(
         raise ValueError(f"zeta_grid must have shape ({n_z},), got {zeta_grid.shape}")
     fields = np.empty((2, n_z), dtype=complex)
     edge = np.array([[boundary.omega_s], [boundary.omega_p]], dtype=complex)
-    _rebuild_fields(
-        coherences,
-        0.25j * np.diff(zeta_grid),
-        edge,
-        fields,
-        np.empty((2, n_z - 1), dtype=complex),
-    )
+    incr = np.empty((2, n_z - 1), dtype=complex)
+    _rebuild_fields(_rebuild_views(coherences, fields), 0.25j * np.diff(zeta_grid), edge, incr)
     return fields[1], fields[0]
 
 
@@ -338,6 +344,7 @@ def simulate(
     coherence magnitude exceeds 1 or a field grows beyond
     FIELD_BLOWUP_FACTOR times the peak input.
     """
+    map_stride = _integer("map_stride", map_stride)
     if map_stride < 1:
         raise ValueError(f"map_stride must be >= 1, got {map_stride}")
     zeta = grid.zeta(params.alpha)
@@ -354,33 +361,35 @@ def simulate(
 
     # The state is one (5, n_z) array with rows (rho41, rho31, rho21, signal,
     # probe), the field rows lined up with the coherence rows (rho41, rho31)
-    # that drive them.  Two buffers, each carried with its (coherence, field)
-    # row views, alternate as current and next state: one matmul with
-    # update = [P | (i/2) S[:, :2]] writes the next coherences from the whole
-    # current state, then the trapezoid rebuild fills the next field rows.
+    # that drive them.  Two buffers alternate as current and next state, each
+    # carried with its views bound once (state, coherence rows, field rows,
+    # rebuild views, terminal column), so the loop slices nothing.  One matmul
+    # with update = [P | (i/2) S[:, :2]] writes the next coherences from the
+    # whole current state, then the trapezoid rebuild fills the next field rows.
     edges = np.stack([input_signal, input_probe], axis=1)[:, :, None]
     update = np.hstack([step, 0.5j * source[:, :2]])
     half_dz = 0.25j * np.diff(zeta)
-    cur, nxt = ((buf, buf[:3], buf[3:]) for buf in np.zeros((2, 5, grid.n_z), dtype=complex))
+    cur, nxt = ((buf, buf[:3], buf[3:], _rebuild_views(buf[:3], buf[3:]), buf[3:, -1])
+                for buf in np.zeros((2, 5, grid.n_z), dtype=complex))
     incr = np.empty((2, grid.n_z - 1), dtype=complex)
-    _, coh, fields = cur
-    _rebuild_fields(coh, half_dz, edges[0], fields, incr)
+    state, coh, fields, views, last = cur
+    _rebuild_fields(views, half_dz, edges[0], incr)
 
     outputs = np.empty((2, n_steps + 1), dtype=complex)
-    outputs[:, 0] = fields[:, -1]
+    outputs[:, 0] = last
     map_steps = np.append(np.arange(0, n_steps, map_stride), n_steps)
     states = np.empty((map_steps.size if store_maps else 0, 5, grid.n_z), dtype=complex)
     if store_maps:
-        states[0] = cur[0]
+        states[0] = state
 
     for k in range(1, n_steps + 1):
-        _, coh, fields = nxt
+        state, coh, fields, views, last = nxt
         np.matmul(update, cur[0], out=coh)
-        _rebuild_fields(coh, half_dz, edges[k], fields, incr)
+        _rebuild_fields(views, half_dz, edges[k], incr)
         cur, nxt = nxt, cur
-        outputs[:, k] = fields[:, -1]
+        outputs[:, k] = last
         if store_maps and (k % map_stride == 0 or k == n_steps):
-            states[np.searchsorted(map_steps, k)] = cur[0]
+            states[np.searchsorted(map_steps, k)] = state
         if k % INSTABILITY_CHECK_STRIDE == 0 or k == n_steps:
             # written so that NaN fails the test as well as overflow
             rho_peak = np.abs(coh).max()

@@ -21,6 +21,8 @@ from dleit.dynamics import (
     NumericalInstability,
     PulseShape,
     SimGrid,
+    _centroid,
+    _energy,
     _propagators,
     amplification_sweep,
     optimal_relative_phase,
@@ -46,6 +48,10 @@ def cw_pair(amplitude=AMP):
 def test_sim_grid_validation():
     with pytest.raises(ValueError):
         SimGrid(n_z=8)
+    for bad in (16.5, 20.0):
+        with pytest.raises(ValueError, match="n_z must be an integer"):
+            SimGrid(n_z=bad)
+    assert type(SimGrid(n_z=np.int64(20)).n_z) is int
     with pytest.raises(ValueError):
         SimGrid(dt=0.0)
     with pytest.raises(ValueError):
@@ -274,6 +280,71 @@ def test_simulate_maps_match_reference_loop(map_stride, params, probe, signal):
     assert np.abs(res.field_map_probe - ref[:, 4]).max() <= 1e-12 * AMP
 
 
+def plain_fused_loop(params, probe_pulse, signal_pulse, grid, map_stride):
+    """The fused stepper as first written: np.cumsum, slices taken inside the
+    loop, and the edge added to the accumulated fields in a separate pass.
+
+    The arithmetic and its order are those of `simulate`, so the two must
+    agree bit for bit.  Returns the (signal, probe) outputs, shape
+    (2, n_steps + 1), and the map steps with their (5, n_z) states.
+    """
+    zeta = grid.zeta(params.alpha)
+    times = grid.times()
+    step, source = _propagators(
+        params.delta, params.gamma21, params.omega_c, params.omega_d, grid.dt
+    )
+    edges = np.stack([signal_pulse.envelope(times), probe_pulse.envelope(times)], axis=1)
+    edges = edges[:, :, None]
+    update = np.hstack([step, 0.5j * source[:, :2]])
+    half_dz = 0.25j * np.diff(zeta)
+    incr = np.empty((2, grid.n_z - 1), dtype=complex)
+
+    def rebuild(state, edge, incr):
+        np.add(state[:2, :-1], state[:2, 1:], out=incr)
+        incr *= half_dz
+        np.cumsum(incr, axis=1, out=state[3:, 1:])
+        state[3:, 1:] += edge
+        state[3:, :1] = edge
+
+    cur, nxt = np.zeros((2, 5, grid.n_z), dtype=complex)
+    rebuild(cur, edges[0], incr)
+    outputs, steps, states = [cur[3:, -1].copy()], [0], [cur.copy()]
+    for k in range(1, grid.n_steps + 1):
+        np.matmul(update, cur, out=nxt[:3])
+        rebuild(nxt, edges[k], incr)
+        cur, nxt = nxt, cur
+        outputs.append(cur[3:, -1].copy())
+        if k % map_stride == 0 or k == grid.n_steps:
+            steps.append(k)
+            states.append(cur.copy())
+    return np.array(outputs).T, np.array(steps), np.array(states)
+
+
+@pytest.mark.parametrize("map_stride", [1, 7])
+@pytest.mark.parametrize("n_z", [16, 64, 200])
+@REFERENCE_CASES
+def test_simulate_is_bit_identical_to_plain_fused_loop(n_z, map_stride, params, probe, signal):
+    # The scipy reference allows 1e-15 * AMP, which a reordered sum can
+    # pass; this pins the stepper's arithmetic order exactly.
+    grid = SimGrid(n_z=n_z, dt=0.05, t_final=20.0)
+    res = simulate(params, probe, signal, grid, store_maps=True, map_stride=map_stride)
+    outputs, steps, states = plain_fused_loop(params, probe, signal, grid, map_stride)
+    signal_out, probe_out = outputs
+    times = grid.times()
+    assert np.array_equal(res.output_signal, signal_out)
+    assert np.array_equal(res.output_probe, probe_out)
+    for out, inp, transmission, delay in (
+        (probe_out, res.input_probe, res.energy_transmission_probe, res.group_delay_probe),
+        (signal_out, res.input_signal, res.energy_transmission_signal, res.group_delay_signal),
+    ):
+        assert transmission == _energy(out, times) / _energy(inp, times)
+        assert delay == _centroid(out, times) - _centroid(inp, times)
+    assert np.array_equal(res.map_times, times[steps])
+    assert np.array_equal(res.coherence_map, states[:, :3])
+    assert np.array_equal(res.field_map_signal, states[:, 3])
+    assert np.array_equal(res.field_map_probe, states[:, 4])
+
+
 def test_simulate_map_snapshots_are_copies():
     params = MediumParams(alpha=5.0, delta=1.0, omega_d=np.exp(0.5j))
     res = simulate(
@@ -464,16 +535,18 @@ def test_simulate_map_storage():
 
 
 def test_simulate_rejects_bad_map_stride():
+    # A non-integral stride must fail before any step, not at the map-time index.
     probe, signal = cw_pair()
-    with pytest.raises(ValueError):
-        simulate(
-            MediumParams(alpha=5.0),
-            probe,
-            signal,
-            SimGrid(n_z=32, dt=0.05, t_final=1.0),
-            store_maps=True,
-            map_stride=0,
-        )
+    for bad in (0, 2.5):
+        with pytest.raises(ValueError, match="map_stride"):
+            simulate(
+                MediumParams(alpha=5.0),
+                probe,
+                signal,
+                SimGrid(n_z=32, dt=0.05, t_final=1.0),
+                store_maps=True,
+                map_stride=bad,
+            )
 
 
 def test_steady_cw_output_matches_closed_form_without_dephasing():
