@@ -46,6 +46,7 @@ from .apm import (
     apm_contrast,
     operating_point,
     optimize_detuning,
+    optimize_detuning_sweep,
     phi_r_for_half_pi_shift,
     phi_r_for_pi_shift,
     scan_local_maxima,
@@ -97,6 +98,7 @@ __all__ = [
     "optimal_relative_phase",
     "optimize_amplification",
     "optimize_detuning",
+    "optimize_detuning_sweep",
     "peak_transmission",
     "phi_r_for_half_pi_shift",
     "phi_r_for_pi_shift",

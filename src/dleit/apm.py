@@ -5,10 +5,10 @@ the complex plane as the loop phase phi_r is scanned.  Pinning the terminal
 ratio to the negative real axis imprints a pi output phase on the probe;
 pinning it to the negative imaginary axis imprints -pi/2.  This module
 computes the loop phases that realize those conditions in closed form, as
-the points where the circle meets the target ray, for a whole detuning grid
-at once; optimizes the detuning for maximal probe transmission subject to
-them; and quantifies the modulation contrast against the signal-off
-configuration.
+the points where the circle meets the target ray, for a whole depth x
+detuning grid at once; optimizes the detuning of every depth for maximal
+probe transmission subject to them; and quantifies the modulation contrast
+against the signal-off configuration.
 """
 
 from __future__ import annotations
@@ -50,6 +50,11 @@ class InfeasibleError(ValueError):
     """No loop phase or detuning satisfies the requested phase-shift target."""
 
 
+def _check_target(target_shift: str) -> None:
+    if target_shift not in _TARGET_RAYS:
+        raise ValueError(f"target_shift must be 'pi' or 'half_pi', got {target_shift!r}")
+
+
 @dataclass(frozen=True)
 class ApmOperatingPoint:
     """A phase-modulation working point with its signal-off comparison.
@@ -70,10 +75,7 @@ class ApmOperatingPoint:
     phase_without: float
 
     def __post_init__(self) -> None:
-        if self.target_shift not in _TARGET_RAYS:
-            raise ValueError(
-                f"target_shift must be 'pi' or 'half_pi', got {self.target_shift!r}"
-            )
+        _check_target(self.target_shift)
         if self.transmission_with_signal < 0.0 or self.transmission_without_signal < 0.0:
             raise ValueError("transmissions must be >= 0")
         # NaN marks an extinguished output whose phase (and therefore
@@ -82,9 +84,7 @@ class ApmOperatingPoint:
             raise ValueError(f"apm_contrast must lie in [0, pi], got {self.apm_contrast}")
 
 
-def _ray_solutions(
-    alpha: float, deltas: np.ndarray, target_shift: str
-) -> tuple[np.ndarray, np.ndarray]:
+def _ray_solutions(alpha, deltas: np.ndarray, target_shift: str) -> tuple[np.ndarray, np.ndarray]:
     """Loop phases pinning the terminal probe ratio to the target ray, per detuning.
 
     Turned by exp(-i*theta), where exp(i*theta) is the target's ray in
@@ -95,11 +95,12 @@ def _ray_solutions(
     when |Im c_t| <= |r|.  A root is feasible when it lands on the ray
     (Re w > 0) with |Im w| <= AXIS_TOL; of two feasible roots the one with
     the larger transmission |ratio|^2 is kept.  Returns (phi_r in [0, 2*pi),
-    transmission), both NaN wherever the target is infeasible.
+    transmission), both NaN wherever the target is infeasible.  A depth
+    array broadcasts against `deltas`: a column of depths scans the whole
+    depth x detuning grid in one expression.
     """
-    if target_shift not in _TARGET_RAYS:
-        raise ValueError(f"target_shift must be 'pi' or 'half_pi', got {target_shift!r}")
-    if not (math.isfinite(alpha) and alpha > 0.0):
+    _check_target(target_shift)
+    if not (np.isfinite(alpha) & (np.asarray(alpha) > 0.0)).all():
         raise ValueError(f"alpha must be finite and > 0, got {alpha}")
     center, radius = balanced_components(alpha, deltas)
     turn = np.conj(_TARGET_RAYS[target_shift][0])
@@ -212,6 +213,54 @@ def operating_point(alpha: float, delta: float, target_shift: str) -> ApmOperati
     )
 
 
+def _band_maxima(
+    alphas: list, target_shift: str, delta_range: tuple[float, float], tol: float, scan_step: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Refined transmission maxima of every feasible band, for every depth.
+
+    One closed-form array expression scans the whole depth x detuning grid
+    and one array golden-section loop refines every band maximum of every
+    depth together.  The feasible set of a depth can split into several
+    bands; every band contributes its local maxima, band and window edges
+    included and left unrefined.  Returns (depth index, detuning) per
+    maximum, depth by depth in argument order and by increasing detuning
+    within a depth.  After the window and target checks, the first depth in
+    argument order that is invalid (ValueError) or infeasible over the
+    whole window (InfeasibleError) raises.
+    """
+    grid = detuning_grid(delta_range, scan_step, tol)
+    _check_target(target_shift)
+    depths = np.array(alphas, dtype=float)
+    valid = np.isfinite(depths) & (depths > 0.0)
+    n_valid = depths.size if valid.all() else int(np.argmin(valid))
+    scanned = np.empty((0, grid.size))
+    if n_valid:
+        _, scanned = _ray_solutions(depths[:n_valid, None], grid, target_shift)
+    infeasible = np.isnan(scanned).all(axis=1)
+    if infeasible.any():
+        raise InfeasibleError(
+            f"no feasible detuning for target {target_shift!r} in "
+            f"[{float(delta_range[0])}, {float(delta_range[1])}] "
+            f"at alpha={alphas[int(np.argmax(infeasible))]}"
+        )
+    if n_valid < depths.size:
+        raise ValueError(f"alpha must be finite and > 0, got {alphas[n_valid]}")
+
+    # NaN compares false, so an infeasible or missing neighbor makes a band
+    # edge, which still counts; >= on the left and > on the right breaks
+    # plateau ties.
+    edge = np.full((depths.size, 1), np.nan)
+    left = np.hstack((edge, scanned[:, :-1]))
+    right = np.hstack((scanned[:, 1:], edge))
+    peaks = np.flatnonzero(np.isfinite(scanned) & ~(left > scanned) & ~(right >= scanned))
+    rows = peaks // grid.size
+    deltas = refine_maxima(
+        lambda d, a: _ray_solutions(a, d, target_shift)[1], grid, scanned, peaks, tol,
+        args=(depths[rows],),
+    )
+    return rows, deltas
+
+
 def scan_local_maxima(
     alpha: float,
     target_shift: str,
@@ -221,31 +270,44 @@ def scan_local_maxima(
 ) -> list[ApmOperatingPoint]:
     """All local transmission maxima of the constrained detuning scan.
 
-    The whole grid is evaluated by one closed-form array expression.
-    The feasible set can split into several bands; every band contributes
-    its local maxima (band edges included); those strictly inside the
-    feasible region are refined together by one array golden-section
-    loop.  Points are returned in increasing detuning order.  Raises
-    InfeasibleError when the whole range is infeasible.
+    The one-depth case of the scan behind `optimize_detuning_sweep`: every
+    band's local maxima (band edges included), those strictly inside the
+    feasible region golden-refined.  Points are returned in increasing
+    detuning order.  Raises InfeasibleError when the whole range is
+    infeasible.
     """
-    grid = detuning_grid(delta_range, scan_step, tol)
-    _, scanned = _ray_solutions(alpha, grid, target_shift)
-    if np.all(np.isnan(scanned)):
-        raise InfeasibleError(
-            f"no feasible detuning for target {target_shift!r} in "
-            f"[{float(delta_range[0])}, {float(delta_range[1])}] at alpha={alpha}"
-        )
-
-    # NaN compares false, so an infeasible or missing neighbor makes a band
-    # edge, which still counts; >= on the left and > on the right breaks
-    # plateau ties.
-    left = np.concatenate(([np.nan], scanned[:-1]))
-    right = np.concatenate((scanned[1:], [np.nan]))
-    peaks = np.flatnonzero(np.isfinite(scanned) & ~(left > scanned) & ~(right >= scanned))
-    deltas = refine_maxima(
-        lambda d: _ray_solutions(alpha, d, target_shift)[1], grid, scanned, peaks, tol
-    )
+    _, deltas = _band_maxima([alpha], target_shift, delta_range, tol, scan_step)
     return [operating_point(alpha, delta, target_shift) for delta in deltas.tolist()]
+
+
+def optimize_detuning_sweep(
+    alphas,
+    target_shift: str,
+    delta_range: tuple[float, float] = DEFAULT_DELTA_RANGE,
+    tol: float = DEFAULT_DELTA_TOL,
+    scan_step: float = DEFAULT_SCAN_STEP,
+) -> list[ApmOperatingPoint]:
+    """Transmission-optimal modulation point of the target for each optical depth.
+
+    All depths share one scan and one golden loop (see `_band_maxima`); per
+    depth the band maximum of largest constrained transmission wins, the
+    lowest detuning among equals.  The first depth in argument order that
+    is invalid raises ValueError, or InfeasibleError when no detuning in the
+    range admits the requested phase shift.
+    """
+    alphas = list(alphas)
+    if not alphas:
+        raise ValueError("alphas must be non-empty")
+    rows, deltas = _band_maxima(alphas, target_shift, delta_range, tol, scan_step)
+    _, transmission = _ray_solutions(np.array(alphas, dtype=float)[rows], deltas, target_shift)
+    # A stable sort by depth, then by falling transmission, puts each depth's
+    # winner first in its group; ties keep the detuning order.
+    order = np.lexsort((-transmission, rows))
+    best = order[np.searchsorted(rows[order], np.arange(len(alphas)))]
+    return [
+        operating_point(alpha, delta, target_shift)
+        for alpha, delta in zip(alphas, deltas[best].tolist())
+    ]
 
 
 def optimize_detuning(
@@ -257,9 +319,7 @@ def optimize_detuning(
 ) -> ApmOperatingPoint:
     """Detuning maximizing constrained probe transmission over `delta_range`.
 
-    The best of the scan's local maxima (see scan_local_maxima).  Raises
-    InfeasibleError when no detuning in the range admits the requested
-    phase shift.
+    The one-depth case of `optimize_detuning_sweep`.  Raises InfeasibleError
+    when no detuning in the range admits the requested phase shift.
     """
-    points = scan_local_maxima(alpha, target_shift, delta_range, tol, scan_step)
-    return max(points, key=lambda point: point.transmission_with_signal)
+    return optimize_detuning_sweep([alpha], target_shift, delta_range, tol, scan_step)[0]

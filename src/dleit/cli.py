@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 invalid configuration, 3 numerical failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import shlex
@@ -21,7 +22,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .apm import optimize_detuning
+# optimize_detuning stays importable here: perfbench's layer tests look it up on dleit.cli.
+from .apm import optimize_detuning, optimize_detuning_sweep  # noqa: F401
 from .core import DEFAULT_DELTA_RANGE, DEFAULT_DELTA_TOL, DEFAULT_SCAN_STEP, MediumParams
 from .dynamics import (
     DEFAULT_RISE_TIME,
@@ -71,7 +73,12 @@ def _common_parser() -> argparse.ArgumentParser:
     return common
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `dleit` parser, built once per process and shared by every `main` call.
+
+    Parsing leaves it unchanged; callers must not modify it.
+    """
     parser = argparse.ArgumentParser(
         prog="dleit",
         description="Double-lambda EIT toolkit: steady-state propagation, "
@@ -272,36 +279,14 @@ def cmd_jump(args) -> tuple[list[str], list[list[float]], dict]:
 
 
 def cmd_apm(args) -> tuple[list[str], list[list[float]], dict]:
-    def one(alpha: float) -> list[float]:
-        pt = optimize_detuning(
-            alpha,
-            args.target,
-            delta_range=args.delta_range,
-            tol=args.tol,
-            scan_step=args.scan_step,
-        )
-        return [
-            pt.alpha,
-            pt.delta,
-            pt.phi_r,
-            pt.transmission_with_signal,
-            pt.transmission_without_signal,
-            pt.phase_with,
-            pt.phase_without,
-            pt.apm_contrast,
-        ]
-
-    columns = [
-        "alpha",
-        "delta_opt",
-        "phi_r",
-        "T_with",
-        "T_without",
-        "phase_with",
-        "phase_without",
-        "contrast",
-    ]
-    return columns, [one(alpha) for alpha in args.alpha], {}
+    points = optimize_detuning_sweep(
+        args.alpha, args.target, delta_range=args.delta_range, tol=args.tol, scan_step=args.scan_step
+    )
+    rows = [[pt.alpha, pt.delta, pt.phi_r, pt.transmission_with_signal, pt.transmission_without_signal,
+             pt.phase_with, pt.phase_without, pt.apm_contrast] for pt in points]
+    columns = ["alpha", "delta_opt", "phi_r", "T_with", "T_without", "phase_with", "phase_without",
+               "contrast"]
+    return columns, rows, {}
 
 
 def cmd_propagate(args) -> tuple[list[str], list[list[float]], dict]:

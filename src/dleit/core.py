@@ -67,23 +67,33 @@ def detuning_grid(delta_range: tuple[float, float], scan_step: float, tol: float
     return grid
 
 
-def refine_maxima(objective, grid: np.ndarray, scanned: np.ndarray, ks, tol: float) -> np.ndarray:
-    """Golden-refine the scanned maxima at grid[ks] of a vectorized objective.
+def refine_maxima(objective, grid: np.ndarray, scanned: np.ndarray, ks, tol: float,
+                  args=()) -> np.ndarray:
+    """Golden-refine the scanned maxima of a vectorized objective.
 
-    One array copy of scipy's golden-section loop (`minimize_scalar` with
-    method "golden" on -objective, bracket (grid[k-1], grid[k], grid[k+1]),
-    relative xtol = tol) runs every candidate at once, each to its own stop
-    test.  Only a maximum with finite scanned neighbors that rises strictly
-    above both is refined; a band or window edge, a flat-topped bracket, or
-    a non-finite refined value keeps the grid node.
+    `scanned` holds one scan over `grid` per row (a 1-D scan is one row) and
+    `ks` indexes it flat, so candidate k sits at grid[k % grid.size] of row
+    k // grid.size.  `args` are per-candidate parameter arrays, one entry per
+    k, passed after the detunings: every evaluation is one 1-D call
+    objective(x, *args) over all live candidates.  One array copy of scipy's
+    golden-section loop (`minimize_scalar` with method "golden" on
+    -objective, bracket (grid[k-1], grid[k], grid[k+1]), relative
+    xtol = tol) runs every candidate at once, each to its own stop test.
+    Only a maximum with finite scanned neighbors in its own row that rises
+    strictly above both is refined; a band or window edge, a flat-topped
+    bracket, or a non-finite refined value keeps the grid node.
     """
-    ks = np.asarray(ks, dtype=np.intp)
+    flat = np.asarray(ks, dtype=np.intp)
+    ks = flat % grid.size
     refined = grid[ks].astype(float)
     inner = (ks > 0) & (ks < grid.size - 1)
-    inner[inner] = np.isfinite(scanned[ks[inner] - 1]) & np.isfinite(scanned[ks[inner] + 1])
+    scanned = np.ravel(scanned)
+    inner[inner] = np.isfinite(scanned[flat[inner] - 1]) & np.isfinite(scanned[flat[inner] + 1])
     k = ks[inner]
+    args = [np.asarray(arg)[inner] for arg in args]
     xa, xb, xc = grid[k - 1], grid[k], grid[k + 1]
-    fa, fb, fc = objective(np.concatenate((xa, xb, xc))).reshape(3, -1)
+    triple = (np.concatenate((arg,) * 3) for arg in args)
+    fa, fb, fc = objective(np.concatenate((xa, xb, xc)), *triple).reshape(3, -1)
     # Comparisons read scipy's on -objective with both sides swapped.
     bracketed = (fb > fa) & (fb > fc)
     g_r = 0.61803399  # scipy's rounded golden-ratio conjugate
@@ -92,7 +102,8 @@ def refine_maxima(objective, grid: np.ndarray, scanned: np.ndarray, ks, tol: flo
     wide = np.abs(xc - xb) > np.abs(xb - xa)
     x1 = np.where(wide, xb, xb - g_c * (xb - xa))
     x2 = np.where(wide, xb + g_c * (xc - xb), xb)
-    f1, f2 = objective(np.concatenate((x1, x2))).reshape(2, -1)
+    pair = (np.concatenate((arg,) * 2) for arg in args)
+    f1, f2 = objective(np.concatenate((x1, x2)), *pair).reshape(2, -1)
     live = bracketed.copy()
     for _ in range(5000):  # scipy's maxiter
         live &= ~(np.abs(x3 - x0) <= tol * (np.abs(x1) + np.abs(x2)))
@@ -105,7 +116,7 @@ def refine_maxima(objective, grid: np.ndarray, scanned: np.ndarray, ks, tol: flo
         f1, f2 = np.where(up, f2, f1), np.where(down, f1, f2)
         x1 = np.where(down, g_r * x2 + g_c * x0, x1)
         x2 = np.where(up, g_r * x1 + g_c * x3, x2)
-        fresh = objective(np.where(up, x2, x1))  # finished candidates are evaluated, never updated
+        fresh = objective(np.where(up, x2, x1), *args)  # finished candidates are evaluated, never updated
         f1, f2 = np.where(down, fresh, f1), np.where(up, fresh, f2)
     first = f1 > f2
     best, value = np.where(first, x1, x2), np.where(first, f1, f2)

@@ -375,8 +375,8 @@ def simulate(
     state, coh, fields, views, last = cur
     _rebuild_fields(views, half_dz, edges[0], incr)
 
-    outputs = np.empty((2, n_steps + 1), dtype=complex)
-    outputs[:, 0] = last
+    outputs = np.empty((n_steps + 1, 2), dtype=complex)
+    outputs[0] = last
     map_steps = np.append(np.arange(0, n_steps, map_stride), n_steps)
     states = np.empty((map_steps.size if store_maps else 0, 5, grid.n_z), dtype=complex)
     if store_maps:
@@ -387,7 +387,7 @@ def simulate(
         np.matmul(update, cur[0], out=coh)
         _rebuild_fields(views, half_dz, edges[k], incr)
         cur, nxt = nxt, cur
-        outputs[:, k] = last
+        outputs[k] = last
         if store_maps and (k % map_stride == 0 or k == n_steps):
             states[np.searchsorted(map_steps, k)] = state
         if k % INSTABILITY_CHECK_STRIDE == 0 or k == n_steps:
@@ -401,7 +401,7 @@ def simulate(
                     f"(bound {field_bound:.3g})"
                 )
 
-    output_signal, output_probe = outputs
+    output_signal, output_probe = np.ascontiguousarray(outputs.T)
     maps = {}
     if store_maps:
         maps = dict(map_times=times[map_steps], field_map_signal=states[:, 3],
@@ -468,8 +468,8 @@ def peak_transmission(alpha: float, delta):
     """Best steady transmission of either weak field over the loop phase.
 
     Aligning the non-decaying and decaying mode weights gives
-    (|1+E| + |1-E|)^2 / 4, identical for probe and signal.  An array of
-    detunings gives one value per detuning.
+    (|1+E| + |1-E|)^2 / 4, identical for probe and signal.  Arrays of
+    depths and detunings broadcast to one value per pair.
     """
     dark, bright = balanced_components(alpha, delta)
     return (np.abs(dark) + np.abs(bright)) ** 2
@@ -491,31 +491,15 @@ def optimal_relative_phase(alpha: float, delta: float, field: str = "signal") ->
     raise ValueError(f"field must be 'probe' or 'signal', got {field!r}")
 
 
-def optimize_amplification(
-    alpha: float,
-    delta_range: tuple[float, float] = DEFAULT_DELTA_RANGE,
-    scan_step: float = DEFAULT_SCAN_STEP,
-    tol: float = DEFAULT_DELTA_TOL,
-) -> AmplificationResult:
-    """Maximize steady signal transmission over detuning and loop phase.
-
-    The loop-phase maximization is analytic; the detuning is located by a
-    coarse scan and refined by golden-section search.  alpha = 0 transmits
-    both fields unchanged for every detuning, reported with delta_opt NaN.
-    """
-    if not (math.isfinite(alpha) and alpha >= 0.0):
-        raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
-    grid = detuning_grid(delta_range, scan_step, tol)
+def _working_point(alpha: float, delta: float) -> AmplificationResult:
+    """Signal-optimal loop phase and both transmissions at a found detuning."""
     if alpha == 0.0:
         return AmplificationResult(0.0, math.nan, 0.0, 1.0, 1.0)
-    scanned = peak_transmission(alpha, grid)
-    peak = [np.argmax(scanned)]
-    best_delta = refine_maxima(lambda d: peak_transmission(alpha, d), grid, scanned, peak, tol).item()
-    phi_opt = optimal_relative_phase(alpha, best_delta, field="signal")
-    probe, signal = balanced_ratios(alpha, best_delta, phi_opt)
+    phi_opt = optimal_relative_phase(alpha, delta, field="signal")
+    probe, signal = balanced_ratios(alpha, delta, phi_opt)
     return AmplificationResult(
         alpha=float(alpha),
-        delta_opt=best_delta,
+        delta_opt=delta,
         phi_r_opt=phi_opt,
         probe_transmission=float(abs(probe) ** 2),
         signal_transmission=float(abs(signal) ** 2),
@@ -528,11 +512,43 @@ def amplification_sweep(
     scan_step: float = DEFAULT_SCAN_STEP,
     tol: float = DEFAULT_DELTA_TOL,
 ) -> list[AmplificationResult]:
-    """Energy-optimal signal working points for each optical depth."""
+    """Energy-optimal signal working points for each optical depth.
+
+    The loop-phase maximization is analytic.  The detuning of every depth
+    is located by one closed-form scan of the whole depth x detuning grid,
+    and all scan maxima are refined together by one array golden-section
+    loop.  alpha = 0 transmits both fields unchanged for every detuning,
+    reported with delta_opt NaN.
+    """
     alphas = list(alphas)
     if not alphas:
         raise ValueError("alphas must be non-empty")
-    return [
-        optimize_amplification(a, delta_range=delta_range, scan_step=scan_step, tol=tol)
-        for a in alphas
-    ]
+    depths = np.array(alphas, dtype=float)
+    invalid = ~(np.isfinite(depths) & (depths >= 0.0))
+    # The first depth is checked before the detuning window, the rest after it.
+    if invalid[0]:
+        raise ValueError(f"alpha must be finite and >= 0, got {alphas[0]}")
+    grid = detuning_grid(delta_range, scan_step, tol)
+    if invalid.any():
+        raise ValueError(f"alpha must be finite and >= 0, got {alphas[int(np.argmax(invalid))]}")
+    deep = np.flatnonzero(depths > 0.0)
+    scanned = peak_transmission(depths[deep, None], grid)
+    peaks = np.argmax(scanned, axis=1) + grid.size * np.arange(deep.size)
+    deltas = np.full(depths.size, math.nan)
+    deltas[deep] = refine_maxima(
+        lambda d, a: peak_transmission(a, d), grid, scanned, peaks, tol, args=(depths[deep],)
+    )
+    return [_working_point(alpha, delta) for alpha, delta in zip(alphas, deltas.tolist())]
+
+
+def optimize_amplification(
+    alpha: float,
+    delta_range: tuple[float, float] = DEFAULT_DELTA_RANGE,
+    scan_step: float = DEFAULT_SCAN_STEP,
+    tol: float = DEFAULT_DELTA_TOL,
+) -> AmplificationResult:
+    """Maximize steady signal transmission over detuning and loop phase.
+
+    The one-depth case of `amplification_sweep`.
+    """
+    return amplification_sweep([alpha], delta_range, scan_step, tol)[0]

@@ -126,11 +126,12 @@ def _decay_kernel(depth, delta):
 def decay_factor(alpha: float, delta):
     """Balanced-drive decaying-mode factor after the full medium length.
 
-    Equals exp(-i*alpha/(2*xi)) with xi = i + delta.  A scalar `delta` gives
-    a complex; an array gives an array of factors, one per detuning.  A
-    negative or non-finite depth and any non-finite detuning raise ValueError.
+    Equals exp(-i*alpha/(2*xi)) with xi = i + delta.  Scalar arguments give
+    a complex; arrays broadcast (a column of depths against a row of
+    detunings gives one factor per pair).  A negative or non-finite depth
+    and any non-finite detuning raise ValueError.
     """
-    if not (math.isfinite(alpha) and alpha >= 0.0):
+    if not (np.isfinite(alpha) & (np.asarray(alpha) >= 0.0)).all():
         raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
     if not np.isfinite(delta).all():
         raise ValueError(f"delta must be finite, got {delta}")
@@ -143,7 +144,7 @@ def balanced_components(alpha: float, delta):
 
     The terminal probe ratio is a + c*exp(-i*phi_r) with a = (1+E)/2 and
     c = (1-E)/2 (the signal ratio carries exp(+i*phi_r) instead); both
-    weights are returned, as arrays when `delta` is an array.
+    weights are returned, as arrays when either argument is an array.
     """
     env = decay_factor(alpha, delta)
     return 0.5 * (1.0 + env), 0.5 * (1.0 - env)

@@ -11,6 +11,7 @@ from dleit.apm import (
     apm_contrast,
     operating_point,
     optimize_detuning,
+    optimize_detuning_sweep,
     phi_r_for_half_pi_shift,
     phi_r_for_pi_shift,
     scan_local_maxima,
@@ -267,6 +268,17 @@ def test_optimized_transmission_trends_with_depth():
 def test_optimize_detuning_infeasible_range():
     with pytest.raises(InfeasibleError):
         optimize_detuning(1.0, "half_pi", delta_range=(40.0, 60.0))
+
+
+def test_sweep_raises_for_the_first_failing_depth():
+    window = (40.0, 60.0)
+    with pytest.raises(InfeasibleError, match="at alpha=1.0"):
+        optimize_detuning_sweep([1.0, -3.0], "half_pi", delta_range=window)
+    with pytest.raises(ValueError, match="got -3.0") as info:
+        optimize_detuning_sweep([-3.0, 1.0], "half_pi", delta_range=window)
+    assert not isinstance(info.value, InfeasibleError)
+    with pytest.raises(ValueError, match="non-empty"):
+        optimize_detuning_sweep([], "pi")
 
 
 def test_optimize_detuning_rejects_bad_window():

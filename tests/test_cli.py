@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from dleit.cli import _parse_pair, _parse_sweep, main
+from dleit.cli import _parse_pair, _parse_sweep, build_parser, main
 from dleit.core import MediumParams
 from dleit.dynamics import PulseShape, SimGrid, simulate
 from dleit.steady_state import trace_curve, unwrapped_phase
@@ -245,6 +245,79 @@ def test_apm_command_finds_operating_point(tmp_path):
     row = rows[0]
     assert 16.0 < row[1] < 17.0
     assert row[7] == pytest.approx(2.6114, abs=0.02)
+
+
+def table(text):
+    """Header and data lines of a CSV output, without the metadata lines."""
+    return [line for line in text.splitlines() if not line.startswith("#")]
+
+
+@pytest.mark.parametrize("argv, depths", [
+    (["apm", "--target", "pi"], ["10", "55.5", "131.3"]),
+    (["apm", "--target", "half_pi"], ["10", "55.5", "131.3"]),
+    (["amplify-sweep"], ["0", "50", "100"]),
+])
+def test_multi_depth_rows_equal_one_depth_calls(argv, depths, capsys):
+    assert main(argv + ["--alpha", *depths]) == 0
+    together = table(capsys.readouterr().out)
+    expected = together[:1]
+    for depth in depths:
+        assert main(argv + ["--alpha", depth]) == 0
+        expected += table(capsys.readouterr().out)[1:]
+    assert together == expected
+    if argv[0] == "amplify-sweep":
+        assert together[1] == "0.0,nan,0.0,1.0,1.0"
+
+
+@pytest.mark.parametrize("depths, message", [
+    (["1", "-3"], "no feasible detuning for target 'half_pi' in [40.0, 60.0] at alpha=1.0"),
+    (["-3", "1"], "alpha must be finite and > 0, got -3.0"),
+])
+def test_apm_reports_the_first_failing_depth(depths, message, capsys):
+    argv = ["apm", "--alpha", *depths, "--target", "half_pi", "--delta-range", "40:60"]
+    assert main(argv) == 2
+    err = capsys.readouterr()
+    assert err.err == f"error: {message}\n"
+    assert err.out == ""
+
+
+def test_cached_parser_matches_a_fresh_parser(tmp_path, capsys, monkeypatch):
+    cfg = tmp_path / "apm.cfg"
+    cfg.write_text("alpha = 20 60\ntarget = half_pi\ntol = 1e-5\n")
+    runs = [
+        ["apm", "--alpha", "10", "--tol", "1e-4"],
+        ["apm", "--alpha", "10"],
+        ["steady", "--alpha", "40", "--delta", "5", "--phi-r-sweep", "0:1:0.25"],
+        ["apm", "--config", str(cfg)],
+        ["apm", "--alpha", "10", "--format", "json"],
+        ["steady", "--alpha", "40"],
+        ["amplify-sweep", "--alpha", "20", "--scan-step", "0.5"],
+        ["apm", "--config", str(cfg), "--alpha", "30"],
+        ["apm", "--alpha", "10"],
+    ]
+
+    def outputs():
+        texts = []
+        for argv in runs:
+            assert main(argv) == 0
+            texts.append(capsys.readouterr().out)
+            # Parser errors between the runs still exit through argparse.
+            for bad in (["apm"], ["apm", "--alpha", "10", "--target", "tau"]):
+                with pytest.raises(SystemExit) as err:
+                    main(bad)
+                assert err.value.code == 2
+            capsys.readouterr()
+        return texts
+
+    cached = outputs()
+    assert build_parser() is build_parser()
+    monkeypatch.setattr("dleit.cli.build_parser", build_parser.__wrapped__)
+    assert cached == outputs()
+    # Defaults come back after a run that overrode them.
+    assert "# tol = 0.0001\n" in cached[0]
+    assert "# tol = 0.001\n" in cached[1] and "# target = pi\n" in cached[1]
+    assert "# target = half_pi\n" in cached[3] and "# tol = 1e-05\n" in cached[3]
+    assert cached[8] == cached[1]
 
 
 def test_propagate_emits_waveforms_and_energy_meta(tmp_path):

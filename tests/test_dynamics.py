@@ -642,3 +642,13 @@ def test_amplification_sweep():
     assert results[1].signal_transmission > results[0].signal_transmission
     with pytest.raises(ValueError):
         amplification_sweep([])
+
+
+def test_amplification_sweep_reports_the_first_invalid_depth():
+    with pytest.raises(ValueError, match="got -1.0"):
+        amplification_sweep([50.0, -1.0, math.nan])
+    # The first depth is checked before the detuning window, the rest after it.
+    with pytest.raises(ValueError, match="alpha must be"):
+        amplification_sweep([-1.0, 50.0], delta_range=(5.0, 5.0))
+    with pytest.raises(ValueError, match="delta_range"):
+        amplification_sweep([50.0, -1.0], delta_range=(5.0, 5.0))

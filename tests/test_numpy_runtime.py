@@ -5,6 +5,7 @@ the oracle for the golden-section refinement, the matrix exponential and the
 trapezoid rule.
 """
 
+import math
 import os
 import subprocess
 import sys
@@ -18,7 +19,7 @@ from scipy.linalg import expm
 from scipy.optimize import minimize_scalar
 
 import dleit
-from dleit.apm import _ray_solutions
+from dleit.apm import _band_maxima, _ray_solutions, operating_point, optimize_detuning_sweep
 from dleit.core import (
     DEFAULT_DELTA_RANGE,
     DEFAULT_DELTA_TOL,
@@ -26,7 +27,7 @@ from dleit.core import (
     detuning_grid,
     refine_maxima,
 )
-from dleit.dynamics import _expm, _obe_matrix, _trapezoid, peak_transmission
+from dleit.dynamics import _expm, _obe_matrix, _trapezoid, amplification_sweep, peak_transmission
 
 SRC = Path(dleit.__file__).resolve().parents[1]
 
@@ -117,6 +118,72 @@ def test_array_golden_loop_keeps_unbracketed_nodes():
     # an edge, a flat top, a NaN neighbor and the far edge all keep their node
     refined = refine_maxima(lambda d: np.interp(d, grid, scanned), grid, scanned, [0, 1, 2, 4], 1e-3)
     assert refined.tolist() == [0.0, 1.0, 2.0, 4.0]
+
+
+def test_array_golden_loop_keeps_row_edges_and_passes_candidate_args():
+    # Two scans over one grid, indexed flat: row 0 peaks at its last node and
+    # row 1 starts below it, so row 1's first node would bracket it.
+    grid = np.linspace(0.0, 4.0, 5)
+    scanned = np.array([[1.0, 2.0, 3.0, 4.0, 5.0], [0.5, 1.0, 2.0, 1.0, 0.0]])
+    shapes = []
+
+    def objective(x, center):
+        shapes.append((x.shape, center.shape))
+        return -((x - center) ** 2)
+
+    centers = np.array([9.0, 9.0, 2.1])
+    refined = refine_maxima(objective, grid, scanned, [4, 5, 7], 1e-10, args=(centers,))
+    assert refined[:2].tolist() == [4.0, 0.0]
+    assert refined[2] == pytest.approx(2.1, abs=1e-8)
+    assert shapes[0] == ((3,), (3,)) and all(x == c == (1,) for x, c in shapes[2:])
+
+
+#: Depths with one feasible band (10) and with several (the others).
+SWEEP_DEPTHS = [10.0, 55.5, 100.0, 131.3, 200.0]
+
+
+@pytest.mark.parametrize("target", ["pi", "half_pi"])
+def test_batched_apm_maxima_match_per_depth_scipy_golden(target):
+    grid = detuning_grid(DEFAULT_DELTA_RANGE, DEFAULT_SCAN_STEP, DEFAULT_DELTA_TOL)
+    rows, deltas = _band_maxima(
+        SWEEP_DEPTHS, target, DEFAULT_DELTA_RANGE, DEFAULT_DELTA_TOL, DEFAULT_SCAN_STEP
+    )
+    expected_rows, expected = [], []
+    for row, alpha in enumerate(SWEEP_DEPTHS):
+        scanned = _ray_solutions(alpha, grid, target)[1]
+        peaks = local_maxima(scanned)
+        expected_rows += [row] * peaks.size
+        expected += [
+            scipy_refine(lambda d: _ray_solutions(alpha, np.array([d]), target)[1][0],
+                         grid, scanned, k, DEFAULT_DELTA_TOL)
+            for k in peaks
+        ]
+    assert rows.tolist() == expected_rows
+    counts = np.bincount(rows)
+    assert counts[0] == 1 and counts[1:].min() > 1
+    np.testing.assert_allclose(deltas, expected, rtol=0.0, atol=1e-12)
+
+    # Per depth the best band wins, the first in detuning order among equals.
+    expected = np.array(expected)
+    for row, point in enumerate(optimize_detuning_sweep(SWEEP_DEPTHS, target)):
+        alpha = SWEEP_DEPTHS[row]
+        bands = [operating_point(alpha, d, target) for d in expected[rows == row].tolist()]
+        best = max(bands, key=lambda p: p.transmission_with_signal)
+        assert point.alpha == alpha
+        assert abs(point.delta - best.delta) <= 1e-12
+
+
+def test_batched_amplification_matches_per_depth_scipy_golden():
+    grid = detuning_grid(DEFAULT_DELTA_RANGE, DEFAULT_SCAN_STEP, DEFAULT_DELTA_TOL)
+    results = amplification_sweep([0.0] + SWEEP_DEPTHS)
+    assert math.isnan(results[0].delta_opt)
+    assert (results[0].probe_transmission, results[0].signal_transmission) == (1.0, 1.0)
+    for alpha, result in zip(SWEEP_DEPTHS, results[1:]):
+        scanned = peak_transmission(alpha, grid)
+        expected = scipy_refine(lambda d: peak_transmission(alpha, np.array([d]))[0],
+                                grid, scanned, int(np.argmax(scanned)), DEFAULT_DELTA_TOL)
+        assert result.alpha == alpha
+        assert abs(result.delta_opt - expected) <= 1e-12
 
 
 @st.composite
