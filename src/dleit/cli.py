@@ -357,7 +357,7 @@ def _render_csv(config: dict, columns: list[str], rows: list[list[float]],
     lines += [f"# {key} = {value}" for key, value in meta.items()]
     lines.append(",".join(columns))
     for row in rows:
-        lines.append(",".join(repr(float(v)) for v in row))
+        lines.append(",".join(map(repr, map(float, row))))
     return "\n".join(lines) + "\n"
 
 

@@ -9,12 +9,13 @@ enter the Gamma-unit formulation).
 The integrator splits each time step: fields are frozen while every grid
 point's coherences advance by an exact matrix-exponential update, then the
 fields are rebuilt by trapezoidal integration in zeta from the incident
-boundary values.  Coherences and fields share one (5, n_z) state array, so
-the frozen-field update of every grid point is a single (3, 5) matrix
-product per step.  The splitting is first order in dt, but the coherence
-update itself is exact, so there is no stiffness limit from the detuning
-and the CW fixed point is independent of dt (its error comes from the zeta
-quadrature alone).
+boundary values.  Coherences and fields share one C-contiguous (5, n_z)
+state array: the frozen-field update is one (3, 5) matrix product per step,
+and the rebuild reads both driving coherence rows as one flat block (its one
+cross-row sum weighted 0, never read).  The splitting is first order in dt,
+but the coherence update itself is exact, so there is no stiffness limit
+from the detuning and the CW fixed point is independent of dt (its error
+comes from the zeta quadrature alone).
 
 The module also hosts the steady-state amplification analytics: for
 balanced drives the terminal ratio of either weak field is the sum of a
@@ -267,26 +268,30 @@ def _propagators(
     return step, source
 
 
-def _rebuild_views(coherences: np.ndarray, fields: np.ndarray) -> tuple[np.ndarray, ...]:
-    """What `_rebuild_fields` reads and writes, sliced once per state buffer."""
-    return coherences[:2, :-1], coherences[:2, 1:], fields[:, 1:], fields[:, :1]
-
-
-def _rebuild_fields(views: tuple, half_dz: np.ndarray, edge: np.ndarray, incr: np.ndarray) -> None:
-    """Trapezoid field rebuild in zeta, written in place through `views`.
-
-    `views` are the driving coherence rows (rho41, rho31) without their last
-    and without their first column, the (signal, probe) field rows from
-    column 1 and their column 0; `half_dz` is (i/4) diff(zeta), `edge` the
-    (2, 1) incident boundary values and `incr` a (2, n_z - 1) scratch buffer.
-    The ufuncs are called directly: `add.accumulate` is what `cumsum` runs.
+def _field_rebuilds(states: np.ndarray, zeta: np.ndarray, scratch: np.ndarray) -> list:
+    """One `rebuild(edge)` per C-contiguous (5, n_z) state of `states`: the
+    trapezoid rebuild along `zeta` of field rows 3-4, in place, from the (2, 1)
+    boundary values `edge` and coherence rows 0-1 read as one flat block.
     """
-    left, right, tail, head = views
-    np.add(left, right, out=incr)
-    np.multiply(incr, half_dz, out=incr)
-    np.add.accumulate(incr, axis=1, out=tail)
-    np.add(tail, edge, out=tail)
-    head[...] = edge
+    weights = np.zeros(2 * zeta.size - 1, dtype=complex)
+    weights[:zeta.size - 1] = weights[zeta.size:] = 0.25j * np.diff(zeta)
+    flat, incr = scratch.reshape(-1)[:-1], scratch[:, :-1]
+    add, multiply, accumulate = np.add, np.multiply, np.add.accumulate
+
+    def bind(state: np.ndarray):
+        drive = state[:2].reshape(-1)
+        left, right, tail, head = drive[:-1], drive[1:], state[3:, 1:], state[3:, :1]
+
+        def rebuild(edge: np.ndarray) -> None:
+            add(left, right, flat)
+            multiply(flat, weights, flat)
+            accumulate(incr, 1, None, tail)
+            add(tail, edge, tail)
+            head[...] = edge
+
+        return rebuild
+
+    return [bind(state) for state in states]
 
 
 def step_fields(
@@ -305,11 +310,10 @@ def step_fields(
     zeta_grid = np.asarray(zeta_grid, dtype=float)
     if zeta_grid.shape != (n_z,):
         raise ValueError(f"zeta_grid must have shape ({n_z},), got {zeta_grid.shape}")
-    fields = np.empty((2, n_z), dtype=complex)
-    edge = np.array([[boundary.omega_s], [boundary.omega_p]], dtype=complex)
-    incr = np.empty((2, n_z - 1), dtype=complex)
-    _rebuild_fields(_rebuild_views(coherences, fields), 0.25j * np.diff(zeta_grid), edge, incr)
-    return fields[1], fields[0]
+    state = np.vstack([coherences, np.empty((2, n_z), dtype=complex)])
+    (rebuild,) = _field_rebuilds([state], zeta_grid, np.empty((2, n_z), dtype=complex))
+    rebuild(np.array([[boundary.omega_s], [boundary.omega_p]], dtype=complex))
+    return state[4], state[3]
 
 
 def _trapezoid(y: np.ndarray, x: np.ndarray) -> float:
@@ -359,23 +363,23 @@ def simulate(
     peak_input = max(np.abs(input_probe).max(), np.abs(input_signal).max())
     field_bound = FIELD_BLOWUP_FACTOR * peak_input
 
-    # The state is one (5, n_z) array with rows (rho41, rho31, rho21, signal,
-    # probe), the field rows lined up with the coherence rows (rho41, rho31)
-    # that drive them.  Two buffers alternate as current and next state, each
-    # carried with its views bound once (state, coherence rows, field rows,
-    # rebuild views, terminal column), so the loop slices nothing.  One matmul
-    # with update = [P | (i/2) S[:, :2]] writes the next coherences from the
-    # whole current state, then the trapezoid rebuild fills the next field rows.
+    # Rows of the (5, n_z) state: rho41, rho31, rho21, signal, probe.  Rows
+    # 0-1 are one flat 2 n_z block, so the rebuild's pair add and scale run
+    # once over both; their one cross-row sum goes to the shared scratch's
+    # last column, weighted 0, and is never read.  Two buffers alternate as
+    # current and next state, each carried with its coherence rows, field
+    # rows, rebuild and terminal column, so the loop slices nothing.  The
+    # matmul by update = [P | (i/2) S[:, :2]] writes the next coherences.
     edges = np.stack([input_signal, input_probe], axis=1)[:, :, None]
     update = np.hstack([step, 0.5j * source[:, :2]])
-    half_dz = 0.25j * np.diff(zeta)
-    cur, nxt = ((buf, buf[:3], buf[3:], _rebuild_views(buf[:3], buf[3:]), buf[3:, -1])
-                for buf in np.zeros((2, 5, grid.n_z), dtype=complex))
-    incr = np.empty((2, grid.n_z - 1), dtype=complex)
-    state, coh, fields, views, last = cur
-    _rebuild_fields(views, half_dz, edges[0], incr)
+    bufs = np.zeros((2, 5, grid.n_z), dtype=complex)
+    rebuilds = _field_rebuilds(bufs, zeta, np.empty((2, grid.n_z), dtype=complex))
+    cur, nxt = ((buf, buf[:3], buf[3:], rebuild, buf[3:, -1])
+                for buf, rebuild in zip(bufs, rebuilds))
+    state, coh, fields, rebuild, last = cur
+    rebuild(edges[0])
 
-    outputs = np.empty((n_steps + 1, 2), dtype=complex)
+    outputs = np.empty((2, n_steps + 1), dtype=complex).T  # rows (signal, probe) stay contiguous
     outputs[0] = last
     map_steps = np.append(np.arange(0, n_steps, map_stride), n_steps)
     states = np.empty((map_steps.size if store_maps else 0, 5, grid.n_z), dtype=complex)
@@ -383,9 +387,9 @@ def simulate(
         states[0] = state
 
     for k in range(1, n_steps + 1):
-        state, coh, fields, views, last = nxt
+        state, coh, fields, rebuild, last = nxt
         np.matmul(update, cur[0], out=coh)
-        _rebuild_fields(views, half_dz, edges[k], incr)
+        rebuild(edges[k])
         cur, nxt = nxt, cur
         outputs[k] = last
         if store_maps and (k % map_stride == 0 or k == n_steps):
@@ -401,7 +405,7 @@ def simulate(
                     f"(bound {field_bound:.3g})"
                 )
 
-    output_signal, output_probe = np.ascontiguousarray(outputs.T)
+    output_signal, output_probe = outputs.T
     maps = {}
     if store_maps:
         maps = dict(map_times=times[map_steps], field_map_signal=states[:, 3],

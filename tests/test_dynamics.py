@@ -23,6 +23,7 @@ from dleit.dynamics import (
     SimGrid,
     _centroid,
     _energy,
+    _field_rebuilds,
     _propagators,
     amplification_sweep,
     optimal_relative_phase,
@@ -212,6 +213,29 @@ def test_step_fields_matches_cumulative_trapezoid(zeta):
     assert np.abs(signal - ref_signal).max() <= 1e-15 * scale
 
 
+@pytest.mark.parametrize(
+    "zeta",
+    [np.linspace(0.0, 7.0, 51), np.cumsum(np.random.default_rng(5).uniform(0.01, 0.4, 51))],
+    ids=["uniform", "non_uniform"],
+)
+def test_field_rebuild_never_reads_the_cross_row_slot(zeta):
+    # The flat pair add puts one sum across the two driving rows into the
+    # scratch's last column, weighted 0; NaN seeded there, or in any other
+    # scratch slot the rebuild leaves unwritten, must not reach the fields.
+    rng = np.random.default_rng(7)
+    state = np.full((5, zeta.size), np.nan, dtype=complex)
+    state[:3] = rng.normal(size=(3, zeta.size)) + 1j * rng.normal(size=(3, zeta.size))
+    coherences = state[:3].copy()
+    scratch = np.full((2, zeta.size), np.nan, dtype=complex)
+    edge = np.array([[0.1j], [0.3 - 0.2j]])
+    (rebuild,) = _field_rebuilds([state], zeta, scratch)
+    rebuild(edge)
+    assert np.array_equal(state[:3], coherences)
+    for row, drive in ((3, 0), (4, 1)):
+        ref = edge[row - 3, 0] + cumulative_trapezoid(0.5j * coherences[drive], zeta, initial=0.0)
+        assert np.abs(state[row] - ref).max() <= 1e-15 * np.abs(ref).max()
+
+
 def reference_states(params, probe_pulse, signal_pulse, grid):
     """The split-step scheme written plainly: one scipy quadrature per field.
 
@@ -321,7 +345,7 @@ def plain_fused_loop(params, probe_pulse, signal_pulse, grid, map_stride):
 
 
 @pytest.mark.parametrize("map_stride", [1, 7])
-@pytest.mark.parametrize("n_z", [16, 64, 200])
+@pytest.mark.parametrize("n_z", [16, 64, 200, 801])
 @REFERENCE_CASES
 def test_simulate_is_bit_identical_to_plain_fused_loop(n_z, map_stride, params, probe, signal):
     # The scipy reference allows 1e-15 * AMP, which a reordered sum can
