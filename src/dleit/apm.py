@@ -84,6 +84,11 @@ class ApmOperatingPoint:
             raise ValueError(f"apm_contrast must lie in [0, pi], got {self.apm_contrast}")
 
 
+def _reduce_roots(roots: np.ndarray) -> np.ndarray:
+    """np.mod(roots, TWO_PI) bit for bit, for roots in (-2*pi, 4*pi) or NaN."""
+    return roots + (np.where(roots < 0.0, TWO_PI, -TWO_PI * (roots >= TWO_PI)) + 0.0)
+
+
 def _ray_solutions(alpha, deltas: np.ndarray, target_shift: str) -> tuple[np.ndarray, np.ndarray]:
     """Loop phases pinning the terminal probe ratio to the target ray, per detuning.
 
@@ -97,7 +102,11 @@ def _ray_solutions(alpha, deltas: np.ndarray, target_shift: str) -> tuple[np.nda
     the larger transmission |ratio|^2 is kept.  Returns (phi_r in [0, 2*pi),
     transmission), both NaN wherever the target is infeasible.  A depth
     array broadcasts against `deltas`: a column of depths scans the whole
-    depth x detuning grid in one expression.
+    depth x detuning grid in one expression.  The roots lie in
+    [-3*pi/2, 5*pi/2], so one shift by 2*pi reduces them as np.mod does, bit
+    for bit: below 0 np.mod adds 2*pi to the angle itself, and from 2*pi up
+    its fmod is the subtraction, exact by Sterbenz's lemma.  The shift skips
+    np.mod's slow remainder on the NaN roots of circles that miss the ray.
     """
     _check_target(target_shift)
     if not (np.isfinite(alpha) & (np.asarray(alpha) > 0.0)).all():
@@ -109,8 +118,8 @@ def _ray_solutions(alpha, deltas: np.ndarray, target_shift: str) -> tuple[np.nda
     with np.errstate(divide="ignore", invalid="ignore"):
         offset = np.arcsin((center * turn).imag / np.abs(radius))
         base = np.angle(radius * turn)
-        roots = np.mod(np.stack((base + offset, base + np.pi - offset)), TWO_PI)
-        # np.mod of a tiny negative angle rounds to exactly 2*pi.
+        roots = _reduce_roots(np.stack((base + offset, base + np.pi - offset)))
+        # A tiny negative angle plus 2*pi rounds to exactly 2*pi.
         roots[roots == TWO_PI] = 0.0
         ratios = center + radius * np.exp(-1j * roots)
         pinned = ratios * turn
@@ -188,7 +197,11 @@ def operating_point(alpha: float, delta: float, target_shift: str) -> ApmOperati
     (the with-signal one right at a critical depth, the signal-off one at
     resonance); the undefined phases and contrast are then reported as NaN.
     """
-    phi, t_with = _pinned_phase(alpha, delta, target_shift)
+    return _operating_point(alpha, delta, target_shift, *_pinned_phase(alpha, delta, target_shift))
+
+
+def _operating_point(alpha, delta, target_shift, phi: float, t_with: float) -> ApmOperatingPoint:
+    """`operating_point` from its ray solution (loop phase, transmission)."""
     ray_angle = float(np.angle(_TARGET_RAYS[target_shift][0]))
     phase_with = ray_angle if math.sqrt(t_with) >= ZERO_FIELD_TOL else np.nan
     ratio_without = balanced_components(alpha, delta)[0]
@@ -291,23 +304,22 @@ def optimize_detuning_sweep(
 
     All depths share one scan and one golden loop (see `_band_maxima`); per
     depth the band maximum of largest constrained transmission wins, the
-    lowest detuning among equals.  The first depth in argument order that
-    is invalid raises ValueError, or InfeasibleError when no detuning in the
+    lowest detuning among equals, its point built from the one ray solution
+    over all band maxima.  The first depth in argument order that is
+    invalid raises ValueError, or InfeasibleError when no detuning in the
     range admits the requested phase shift.
     """
     alphas = list(alphas)
     if not alphas:
         raise ValueError("alphas must be non-empty")
     rows, deltas = _band_maxima(alphas, target_shift, delta_range, tol, scan_step)
-    _, transmission = _ray_solutions(np.array(alphas, dtype=float)[rows], deltas, target_shift)
+    phi, transmission = _ray_solutions(np.array(alphas, dtype=float)[rows], deltas, target_shift)
     # A stable sort by depth, then by falling transmission, puts each depth's
     # winner first in its group; ties keep the detuning order.
     order = np.lexsort((-transmission, rows))
     best = order[np.searchsorted(rows[order], np.arange(len(alphas)))]
-    return [
-        operating_point(alpha, delta, target_shift)
-        for alpha, delta in zip(alphas, deltas[best].tolist())
-    ]
+    winners = zip(alphas, deltas[best].tolist(), phi[best].tolist(), transmission[best].tolist())
+    return [_operating_point(a, d, target_shift, p, t) for a, d, p, t in winners]
 
 
 def optimize_detuning(

@@ -316,20 +316,20 @@ def step_fields(
     return state[4], state[3]
 
 
-def _trapezoid(y: np.ndarray, x: np.ndarray) -> float:
-    """Trapezoid rule over samples y(x)."""
-    return float((np.diff(x) * (y[1:] + y[:-1]) / 2.0).sum())
+def _trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Trapezoid rule over samples y(x) along the last axis."""
+    return (np.diff(x) * (y[..., 1:] + y[..., :-1]) / 2.0).sum(axis=-1)
 
 
 def _energy(series: np.ndarray, times: np.ndarray) -> float:
-    return _trapezoid(np.abs(series) ** 2, times)
+    return float(_trapezoid(np.abs(series) ** 2, times))
 
 
 def _centroid(series: np.ndarray, times: np.ndarray) -> float:
     energy = _energy(series, times)
     if energy <= 0.0:
         return math.nan
-    return _trapezoid(times * np.abs(series) ** 2, times) / energy
+    return float(_trapezoid(times * np.abs(series) ** 2, times)) / energy
 
 
 def simulate(
@@ -410,14 +410,16 @@ def simulate(
     if store_maps:
         maps = dict(map_times=times[map_steps], field_map_signal=states[:, 3],
                     field_map_probe=states[:, 4], coherence_map=states[:, :3])
-    energy_in_probe = _energy(input_probe, times)
-    energy_in_signal = _energy(input_signal, times)
-    t_probe = _energy(output_probe, times) / energy_in_probe if energy_in_probe > 0 else 0.0
-    t_signal = (
-        _energy(output_signal, times) / energy_in_signal if energy_in_signal > 0 else 0.0
-    )
-    delay_probe = _centroid(output_probe, times) - _centroid(input_probe, times)
-    delay_signal = _centroid(output_signal, times) - _centroid(input_signal, times)
+    # _energy and _centroid of all four waveforms, each a trapezoid over the stack.
+    power = np.abs(np.stack((input_probe, input_signal, output_probe, output_signal))) ** 2
+    energies = _trapezoid(power, times).tolist()
+    moments = _trapezoid(times * power, times).tolist()
+    centroids = [m / e if e > 0.0 else math.nan for e, m in zip(energies, moments)]
+    e_in_probe, e_in_signal, e_out_probe, e_out_signal = energies
+    t_probe = e_out_probe / e_in_probe if e_in_probe > 0 else 0.0
+    t_signal = e_out_signal / e_in_signal if e_in_signal > 0 else 0.0
+    delay_probe = centroids[2] - centroids[0]
+    delay_signal = centroids[3] - centroids[1]
 
     return PulseSimResult(
         time_grid=times,

@@ -16,11 +16,13 @@ from dleit.apm import (
     phi_r_for_pi_shift,
     scan_local_maxima,
     _ray_solutions,
+    _reduce_roots,
 )
 from dleit.core import (
     DEFAULT_DELTA_RANGE,
     DEFAULT_DELTA_TOL,
     DEFAULT_SCAN_STEP,
+    TWO_PI,
     detuning_grid,
     wrap_signed,
 )
@@ -329,6 +331,49 @@ def test_vectorized_scan_matches_scalar_solver(alpha, target):
             continue
         assert abs(wrap_signed(single - phi)) <= 1e-12
         assert abs(abs(balanced_ratios(alpha, delta, single)[0]) ** 2 - t) <= 1e-12
+
+
+root_edges = st.sampled_from(
+    [0.0, -0.0, np.nan, TWO_PI, np.nextafter(TWO_PI, 0.0), -1e-17, -1e-300, -5e-324]
+)
+
+
+@given(roots=st.lists(st.floats(-1.5 * np.pi, 2.5 * np.pi) | root_edges, min_size=1, max_size=64))
+@settings(max_examples=300)
+def test_root_reduction_is_np_mod_bit_for_bit(roots):
+    roots = np.array(roots)
+    assert np.array_equal(_reduce_roots(roots).view(np.uint64), np.mod(roots, TWO_PI).view(np.uint64))
+
+
+@given(alpha=alphas, target=targets)
+@settings(max_examples=30, deadline=None)
+def test_ray_solutions_return_phases_in_one_turn(alpha, target):
+    grid = detuning_grid((-60.0, 60.0), DEFAULT_SCAN_STEP, DEFAULT_DELTA_TOL)
+    phis, _ = _ray_solutions(alpha, grid, target)
+    feasible = phis[~np.isnan(phis)]
+    assert ((feasible >= 0.0) & (feasible < TWO_PI)).all()
+
+
+def same_point(a, b):
+    """Field-for-field exact equality, with NaN equal to NaN."""
+    for name, value in vars(a).items():
+        other = getattr(b, name)
+        assert value == other or (np.isnan(value) and np.isnan(other)), name
+
+
+@pytest.mark.parametrize("target", ["pi", "half_pi"])
+def test_sweep_winners_equal_their_one_point_operating_points(target):
+    depths = [7.5, 10.0, 20.0, 33.3, 50.0, 77.7, 100.0, 150.0, 200.0]
+    for op in optimize_detuning_sweep(depths, target):
+        same_point(op, operating_point(op.alpha, op.delta, target))
+
+
+def test_sweep_winner_in_an_extinguished_band_equals_its_operating_point():
+    # Inside this window the only band is the sliver of
+    # test_scan_marks_extinguished_band_with_nan_contrast.
+    (op,) = optimize_detuning_sweep([100.0], "pi", delta_range=(0.5, 1.0))
+    assert np.isnan(op.apm_contrast) and np.isnan(op.phase_with)
+    same_point(op, operating_point(100.0, op.delta, "pi"))
 
 
 @given(bad=non_finite, target=targets)
