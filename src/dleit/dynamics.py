@@ -43,7 +43,7 @@ from .core import (
     refine_maxima,
     wrap_phase,
 )
-from .steady_state import balanced_components, balanced_ratios
+from .steady_state import balanced_components, balanced_ratios, propagate_general
 
 #: Default smoothing time of pulse edges, in 1/Gamma.  Hard discontinuities
 #: excite transients that obscure the steady plateau.
@@ -437,26 +437,8 @@ def simulate(
 
 
 def steady_cw_output(params: MediumParams, boundary: FieldPair, zeta: float | None = None) -> FieldPair:
-    """Steady CW output fields, valid for any gamma21 >= 0.
-
-    Adiabatically eliminating the coherences (A x + b = 0 pointwise) turns
-    the propagation equations into a linear 2-vector ODE in zeta whose
-    generator is exponentiated directly.  Independent of the time-domain
-    integrator; with gamma21 = 0 it reproduces the closed-form propagation.
-    """
-    if zeta is None:
-        zeta = params.alpha
-    if not 0.0 <= zeta <= params.alpha:
-        raise ValueError(f"zeta = {zeta} outside [0, alpha = {params.alpha}]")
-    hom = _obe_matrix(params.delta, params.gamma21, params.omega_c, params.omega_d)
-    # b = (i/2) B (omega_p, omega_s) with B mapping the field vector onto
-    # the source slots; x* = -hom^{-1} b, d(fields)/dzeta = (i/2) C x*.
-    b_map = np.array([[0.0, 1.0], [1.0, 0.0], [0.0, 0.0]], dtype=complex)
-    c_map = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]], dtype=complex)
-    generator = 0.25 * c_map @ np.linalg.solve(hom, b_map)
-    fields0 = np.array([boundary.omega_p, boundary.omega_s], dtype=complex)
-    fields = _expm(generator * zeta) @ fields0
-    return FieldPair(omega_p=fields[0], omega_s=fields[1])
+    """Steady CW output fields at `zeta` (default alpha), any gamma21 >= 0: `propagate_general`."""
+    return propagate_general(params, boundary, params.alpha if zeta is None else zeta)
 
 
 @dataclass(frozen=True)

@@ -7,8 +7,8 @@ field pair, the general propagation solution for arbitrary drive magnitudes,
 the compact balanced-case solution parameterized by the loop phase phi_r,
 and transmission/phase extraction from terminal field ratios.
 
-All closed forms here require gamma21 = 0; nonzero ground-state dephasing is
-handled numerically by :mod:`dleit.dynamics`.
+The propagation solution (one transfer matrix) holds for any gamma21 >= 0;
+the coherence and balanced closed forms require gamma21 = 0.
 """
 
 from __future__ import annotations
@@ -84,33 +84,23 @@ class PropagationCurve:
         return self.zeta_grid.size
 
 
-def steady_denominator(params: MediumParams) -> complex:
-    """Common denominator of the steady-state coherences.
-
-    D = -[i*|Omega_d|^2 + (2*delta + i)*|Omega_c|^2] in Gamma units.
-    """
-    oc2 = abs(params.omega_c) ** 2
-    od2 = abs(params.omega_d) ** 2
-    return -(1j * od2 + (2.0 * params.delta + 1j) * oc2)
-
-
 def _require_undephased(params: MediumParams) -> None:
-    """The one gamma21 = 0 guard of the closed forms."""
+    """The one gamma21 = 0 guard of the coherence and balanced closed forms."""
     if params.gamma21 != 0.0:
-        raise ValueError("closed forms require gamma21 = 0; use dleit.dynamics for dephased media")
+        raise ValueError("closed form requires gamma21 = 0; for dephased media use "
+                         "propagate_general (fields) or dleit.dynamics (coherences)")
 
 
 def coherences_steady(params: MediumParams, fields: FieldPair) -> CoherenceState:
     """Steady-state coherences driven by a frozen probe/signal pair.
 
     Valid for gamma21 = 0 (the dark-state coherence rho21 then has no decay
-    of its own and the closed form below applies).
+    of its own and the closed form below applies).  The denominator d never
+    vanishes: Im d = -|Omega|^2, and MediumParams rejects |Omega|^2 = 0.
     """
     _require_undephased(params)
-    d = steady_denominator(params)
-    if d == 0.0:
-        raise ValueError("steady-state denominator vanishes")
     oc, od = params.omega_c, params.omega_d
+    d = -(1j * abs(od) ** 2 + (2.0 * params.delta + 1j) * abs(oc) ** 2)
     op, os_ = fields.omega_p, fields.omega_s
     rho21 = (op * np.conj(oc) * (2.0 * params.delta + 1j) + os_ * np.conj(od) * 1j) / d
     rho31 = (op * abs(od) ** 2 - os_ * oc * np.conj(od)) / d
@@ -150,31 +140,48 @@ def balanced_components(alpha: float, delta):
     return 0.5 * (1.0 + env), 0.5 * (1.0 - env)
 
 
-def _general_fields(params: MediumParams, incident: FieldPair, zeta):
-    """Absolute probe/signal fields at `zeta` from the general closed form."""
-    oc, od = params.omega_c, params.omega_d
+def transfer_matrix(params: MediumParams, depth):
+    """Steady CW map H: (Omega_p, Omega_s) at `depth` = H @ (Omega_p, Omega_s) at 0.
+
+    Holds for any gamma21 >= 0.  The adiabatic fields obey d/dzeta = G = -M/(2N),
+    with u = 1 - 2i*delta, N = |Omega_d|^2 + u*(|Omega_c|^2 + gamma21) (Re N >=
+    |Omega|^2 > 0) and M = [[|Omega_d|^2 + u*gamma21, -Omega_c*conj(Omega_d)],
+    [-Omega_d*conj(Omega_c), |Omega_c|^2 + gamma21]], whose determinant is gamma21*N.
+    With Z = depth*G, tau = tr(Z)/2 and s^2 = tau^2 - det(Z), H = e^tau*[cosh(s)*I +
+    sinh(s)/s*(Z - tau*I)], summed from e^(tau +- s) so nothing overflows; below
+    |s| = 1, sinh(s)/s is taken directly (1 at s = 0, where the eigenvalues
+    coincide).  Broadcasts over `depth`, H in the last two axes; depth 0 gives I.
+    """
+    oc, od, gamma21 = params.omega_c, params.omega_d, params.gamma21
     oc2, od2 = abs(oc) ** 2, abs(od) ** 2
-    osq = params.omega_sq
-    cross = oc * np.conj(od) * incident.omega_s
-    cross_rev = od * np.conj(oc) * incident.omega_p
-    # xi = i + 2|Omega_c|^2 delta/|Omega|^2: the balanced factor at Re xi.
-    env = _decay_kernel(np.asarray(zeta, dtype=float), params.xi.real)
-    probe = ((oc2 * incident.omega_p + cross) + (od2 * incident.omega_p - cross) * env) / osq
-    signal = ((od2 * incident.omega_s + cross_rev) + (oc2 * incident.omega_s - cross_rev) * env) / osq
-    return probe, signal
+    u = 1.0 - 2j * params.delta
+    n = od2 + u * (oc2 + gamma21)
+    m = np.array([[od2 + u * gamma21, -oc * np.conj(od)], [-od * np.conj(oc), oc2 + gamma21]])
+    depth = np.asarray(depth, dtype=float)
+    z = np.multiply.outer(depth, m / (-2.0 * n))
+    tau = 0.5 * (z[..., 0, 0] + z[..., 1, 1])
+    s = np.sqrt(tau * tau - depth * depth * gamma21 / (4.0 * n))
+    grow, fall = np.exp(tau + s), np.exp(tau - s)
+    near = np.abs(s) < 1.0
+    small, large = np.where(near, s, 0.0), np.where(near, 1.0, s)
+    sinhc = np.divide(np.sinh(small), small, out=np.ones_like(small), where=small != 0.0)
+    odd = np.where(near, np.exp(tau) * sinhc, 0.5 * (grow - fall) / large)
+    even = 0.5 * (grow + fall)
+    eye = np.eye(2)
+    return odd[..., None, None] * (z - tau[..., None, None] * eye) + even[..., None, None] * eye
 
 
 def propagate_general(params: MediumParams, incident: FieldPair, zeta: float) -> FieldPair:
     """Steady-state probe/signal fields after propagating to optical depth zeta.
 
-    Supports arbitrary drive magnitudes and a vanishing incident signal (the
-    four-wave-mixing generation case).  Requires gamma21 = 0 and
+    Supports arbitrary drive magnitudes, any gamma21 >= 0 and a vanishing
+    incident signal (the four-wave-mixing generation case).  Requires
     0 <= zeta <= alpha.
     """
-    _require_undephased(params)
     if not 0.0 <= zeta <= params.alpha:
         raise ValueError(f"zeta = {zeta} outside [0, alpha = {params.alpha}]")
-    probe, signal = _general_fields(params, incident, float(zeta))
+    h = transfer_matrix(params, float(zeta))
+    probe, signal = h @ np.array([incident.omega_p, incident.omega_s])
     return FieldPair(omega_p=complex(probe), omega_s=complex(signal))
 
 
@@ -226,18 +233,19 @@ def trace_curve(
     """Sample the field ratios on a uniform zeta grid from 0 to alpha.
 
     Without `incident`, the balanced closed form at loop phase `phi_r` is
-    used (requires |Omega_c| = |Omega_d|).  With `incident`, the general
-    solution is traced and normalized by the incident fields, which must
-    both be nonzero for the ratios to exist; `phi_r` is then ignored in
-    favor of the phases carried by the fields.
+    used (requires |Omega_c| = |Omega_d| and gamma21 = 0).  With `incident`,
+    the transfer matrix is traced for any gamma21 and normalized by the
+    incident fields, which must both be nonzero for the ratios to exist;
+    `phi_r` is then ignored in favor of the phases carried by the fields.
 
     alpha = 0 yields the single-point identity curve.
     """
     if n_samples < 2:
         raise ValueError(f"n_samples must be >= 2, got {n_samples}")
-    _require_undephased(params)
-    if incident is None and not math.isfinite(phi_r):
-        raise ValueError(f"phi_r must be finite, got {phi_r}")
+    if incident is None:
+        _require_undephased(params)
+        if not math.isfinite(phi_r):
+            raise ValueError(f"phi_r must be finite, got {phi_r}")
     if params.alpha == 0.0:
         one = np.array([1.0 + 0.0j])
         return PropagationCurve(np.array([0.0]), one, one.copy())
@@ -255,9 +263,9 @@ def trace_curve(
                 "curve ratios need nonzero incident fields; evaluate "
                 "propagate_general directly for the generation case"
             )
-        probe, signal = _general_fields(params, incident, zeta)
-        probe = probe / incident.omega_p
-        signal = signal / incident.omega_s
+        fields = transfer_matrix(params, zeta) @ np.array([incident.omega_p, incident.omega_s])
+        probe = fields[:, 0] / incident.omega_p
+        signal = fields[:, 1] / incident.omega_s
     # The analytic ratios at zeta = 0 are identically 1; pin the boundary
     # sample so the curve invariant holds exactly in floating point.
     probe[0] = 1.0

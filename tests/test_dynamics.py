@@ -573,15 +573,6 @@ def test_simulate_rejects_bad_map_stride():
             )
 
 
-def test_steady_cw_output_matches_closed_form_without_dephasing():
-    params = MediumParams(alpha=30.0, delta=7.0, omega_d=np.exp(1.2j))
-    boundary = FieldPair(AMP, AMP)
-    adiabatic = steady_cw_output(params, boundary)
-    closed = propagate_general(params, boundary, 30.0)
-    assert abs(adiabatic.omega_p - closed.omega_p) < 1e-12 * AMP
-    assert abs(adiabatic.omega_s - closed.omega_s) < 1e-12 * AMP
-
-
 def test_steady_cw_output_rejects_zeta_outside_medium():
     params = MediumParams(alpha=10.0)
     with pytest.raises(ValueError):

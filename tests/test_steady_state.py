@@ -10,10 +10,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
+from scipy.linalg import expm
 
 from dleit.apm import apm_contrast
 from dleit.core import FieldPair, MediumParams, wrap_signed
-from dleit.dynamics import optimal_relative_phase, peak_transmission
+from dleit.dynamics import _obe_matrix, optimal_relative_phase, peak_transmission, steady_cw_output
 from dleit.phase_jump import solve_jump
 from dleit.steady_state import (
     CoherenceState,
@@ -27,6 +28,7 @@ from dleit.steady_state import (
     propagate_balanced,
     propagate_general,
     trace_curve,
+    transfer_matrix,
     transmission_and_phase,
     unwrapped_phase,
 )
@@ -152,10 +154,7 @@ def test_propagate_general_identity_at_zero_depth():
     assert abs(out.omega_s - incident.omega_s) < 1e-15
 
 
-def test_propagate_general_rejects_gamma21_and_bad_zeta():
-    params = MediumParams(alpha=10.0, gamma21=0.05)
-    with pytest.raises(ValueError, match="dynamics"):
-        propagate_general(params, FieldPair(0.01, 0.0), 5.0)
+def test_propagate_general_rejects_bad_zeta():
     clean = MediumParams(alpha=10.0)
     with pytest.raises(ValueError, match="outside"):
         propagate_general(clean, FieldPair(0.01, 0.0), 11.0)
@@ -255,7 +254,6 @@ def test_closed_forms_share_one_dephasing_guard():
     messages = set()
     for call in (
         lambda: coherences_steady(params, FieldPair(0.01, 0.0)),
-        lambda: propagate_general(params, FieldPair(0.01, 0.0), 5.0),
         lambda: propagate_balanced(1.0, params, 5.0),
         lambda: trace_curve(1.0, params),
     ):
@@ -272,10 +270,11 @@ def test_balanced_components_sum_to_one():
 
 def test_propagate_general_matches_ode_oracle():
     rng = np.random.default_rng(3)
-    for _ in range(6):
+    for k in range(10):
         params = MediumParams(
             alpha=rng.uniform(5, 60),
             delta=rng.uniform(-20, 20),
+            gamma21=0.0 if k < 6 else rng.uniform(0.01, 0.5),
             omega_c=rng.uniform(0.3, 2) * np.exp(1j * rng.uniform(0, 2 * np.pi)),
             omega_d=rng.uniform(0.3, 2) * np.exp(1j * rng.uniform(0, 2 * np.pi)),
         )
@@ -288,6 +287,72 @@ def test_propagate_general_matches_ode_oracle():
         scale = max(abs(ref_p), abs(ref_s), 1e-6)
         assert abs(out.omega_p - ref_p) / scale < 1e-7
         assert abs(out.omega_s - ref_s) / scale < 1e-7
+
+
+def oracle_transfer(params: MediumParams, depth: float) -> np.ndarray:
+    """scipy's expm of depth*G with the adiabatic generator G = 1/4*C*A^-1*B."""
+    hom = _obe_matrix(params.delta, params.gamma21, params.omega_c, params.omega_d)
+    b_map = np.array([[0.0, 1.0], [1.0, 0.0], [0.0, 0.0]], dtype=complex)
+    c_map = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]], dtype=complex)
+    return expm(depth * 0.25 * c_map @ np.linalg.solve(hom, b_map))
+
+
+def assert_transfer_matches_oracle(params: MediumParams, depths: np.ndarray) -> None:
+    """Every H of one broadcast call within 1e-12*max(1, |H|) of scipy's expm."""
+    h = transfer_matrix(params, depths)
+    assert h.shape == depths.shape + (2, 2)
+    for depth, one in zip(depths, h):
+        reference = oracle_transfer(params, depth)
+        assert np.abs(one - reference).max() <= 1e-12 * max(1.0, np.abs(one).max())
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    alpha=st.floats(min_value=0.0, max_value=300.0),
+    delta=st.floats(min_value=-60.0, max_value=60.0),
+    gamma21=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=0.5)),
+    mag_c=st.floats(min_value=0.1, max_value=3.0),
+    mag_d=st.floats(min_value=0.1, max_value=3.0),
+    phase_c=st.floats(min_value=0.0, max_value=2 * np.pi),
+    phase_d=st.floats(min_value=0.0, max_value=2 * np.pi),
+)
+def test_transfer_matrix_matches_scipy_expm(alpha, delta, gamma21, mag_c, mag_d, phase_c, phase_d):
+    params = MediumParams(
+        alpha=alpha,
+        delta=delta,
+        gamma21=gamma21,
+        omega_c=mag_c * np.exp(1j * phase_c),
+        omega_d=mag_d * np.exp(1j * phase_d),
+    )
+    assert_transfer_matches_oracle(params, np.array([0.3 * alpha, alpha]))
+
+
+def test_transfer_matrix_special_points():
+    # Zero depth is exactly the identity, dephased or not.
+    for gamma21 in (0.0, 0.3):
+        params = MediumParams(alpha=50.0, delta=7.0, gamma21=gamma21, omega_c=1.3, omega_d=0.4j)
+        assert np.array_equal(transfer_matrix(params, 0.0), np.eye(2))
+    # Balanced drives with 2|delta|*gamma21 = |Omega|^2: G's eigenvalues coincide.
+    degenerate = MediumParams(alpha=100.0, delta=20.0, gamma21=0.05, omega_d=np.exp(0.7j))
+    assert_transfer_matches_oracle(degenerate, np.array([0.0, 1.0, 37.5, 100.0]))
+    # At large depth the decaying mode is gone and nothing overflows.
+    deep = MediumParams(alpha=5000.0)
+    assert_transfer_matches_oracle(deep, np.array([5000.0]))
+    np.testing.assert_allclose(transfer_matrix(deep, 5000.0), np.full((2, 2), 0.5), rtol=0.0, atol=1e-15)
+    # trace_curve(incident=...) follows H in a dephased, imbalanced medium.
+    dephased = MediumParams(alpha=40.0, delta=-3.0, gamma21=0.2, omega_c=1.5, omega_d=0.5j)
+    incident = np.array([0.01, 0.02j])
+    curve = trace_curve(0.0, dephased, n_samples=5, incident=FieldPair(*incident))
+    for zeta, probe, signal in zip(curve.zeta_grid[1:], curve.probe_ratio[1:], curve.signal_ratio[1:]):
+        expected = oracle_transfer(dephased, zeta) @ incident / incident
+        assert abs(probe - expected[0]) <= 1e-12 and abs(signal - expected[1]) <= 1e-12
+    # steady_cw_output is H applied to the boundary fields.
+    params = MediumParams(alpha=30.0, delta=7.0, omega_d=np.exp(1.2j))
+    boundary = np.array([1e-3, 1e-3], dtype=complex)
+    out = steady_cw_output(params, FieldPair(*boundary))
+    expected = oracle_transfer(params, 30.0) @ boundary
+    assert abs(out.omega_p - expected[0]) < 1e-12 * 1e-3
+    assert abs(out.omega_s - expected[1]) < 1e-12 * 1e-3
 
 
 def test_propagate_balanced_trivial_phases():
