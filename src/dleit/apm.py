@@ -30,6 +30,8 @@ from .core import (
 from .steady_state import (
     ZERO_FIELD_TOL,
     ZeroFieldError,
+    _decay_kernel,
+    _mode_weights,
     balanced_components,
     balanced_ratios,
     transmission_and_phase,
@@ -107,11 +109,13 @@ def _ray_solutions(alpha, deltas: np.ndarray, target_shift: str) -> tuple[np.nda
     for bit: below 0 np.mod adds 2*pi to the angle itself, and from 2*pi up
     its fmod is the subtraction, exact by Sterbenz's lemma.  The shift skips
     np.mod's slow remainder on the NaN roots of circles that miss the ray.
+
+    Nothing is validated here: this is the golden loop's objective, and its
+    callers (`_pinned_phase`, `_band_maxima` and the sweep built on it) have
+    checked the target and that every depth is finite and > 0 and every
+    detuning finite, so the circle comes from the raw `_decay_kernel`.
     """
-    _check_target(target_shift)
-    if not (np.isfinite(alpha) & (np.asarray(alpha) > 0.0)).all():
-        raise ValueError(f"alpha must be finite and > 0, got {alpha}")
-    center, radius = balanced_components(alpha, deltas)
+    center, radius = _mode_weights(_decay_kernel(alpha, deltas))
     turn = np.conj(_TARGET_RAYS[target_shift][0])
     # A circle that misses the line (|sin| > 1) or has shrunk to a point
     # yields NaN roots, which fail every feasibility test below.
@@ -140,6 +144,9 @@ def _pinned_phase(alpha: float, delta: float, target_shift: str) -> tuple[float,
     """
     if not math.isfinite(delta):
         raise ValueError(f"delta must be finite, got {delta}")
+    _check_target(target_shift)
+    if not (np.isfinite(alpha) & (np.asarray(alpha) > 0.0)).all():
+        raise ValueError(f"alpha must be finite and > 0, got {alpha}")
     phi, transmission = _ray_solutions(alpha, np.array([delta], dtype=float), target_shift)
     if np.isnan(transmission[0]):
         raise InfeasibleError(

@@ -34,7 +34,7 @@ from .dynamics import (
     amplification_sweep,
     simulate,
 )
-from .phase_jump import detect_zero_crossing, solve_jump
+from .phase_jump import solve_jump, verify_jump
 from .steady_state import DEFAULT_CURVE_SAMPLES, accumulated_phase, balanced_ratios, trace_curve
 
 COMMANDS = ("steady", "phase-diagram", "jump", "apm", "propagate", "amplify-sweep")
@@ -259,6 +259,8 @@ def cmd_phase_diagram(args) -> tuple[list[str], list[list[float]], dict]:
 
 
 def cmd_jump(args) -> tuple[list[str], list[list[float]], dict]:
+    if args.samples < 2:
+        raise ValueError(f"samples must be >= 2, got {args.samples}")
     deltas = args.delta if args.delta is not None else args.delta_sweep
     columns = ["delta", "critical_depth", "probe_jump_phase", "signal_jump_phase"]
     if args.verify:
@@ -268,9 +270,7 @@ def cmd_jump(args) -> tuple[list[str], list[list[float]], dict]:
         sol = solve_jump(delta, args.n)
         row = [delta, sol.critical_depth, sol.probe_jump_phase, sol.signal_jump_phase]
         if args.verify:
-            params = MediumParams(alpha=sol.critical_depth, delta=delta)
-            curve = trace_curve(sol.probe_jump_phase, params, n_samples=args.samples)
-            zero = detect_zero_crossing(curve, "probe")
+            zero = verify_jump(sol, args.samples)
             zero = math.nan if zero is None else zero
             row += [zero, abs(zero - sol.critical_depth), sol.critical_depth / (args.samples - 1)]
         return row

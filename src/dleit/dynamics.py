@@ -43,7 +43,14 @@ from .core import (
     refine_maxima,
     wrap_phase,
 )
-from .steady_state import balanced_components, balanced_ratios, propagate_general
+from .steady_state import (
+    _check_balanced,
+    _decay_kernel,
+    _mode_weights,
+    balanced_components,
+    balanced_ratios,
+    propagate_general,
+)
 
 #: Default smoothing time of pulse edges, in 1/Gamma.  Hard discontinuities
 #: excite transients that obscure the steady plateau.
@@ -318,7 +325,10 @@ def step_fields(
 
 def _trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Trapezoid rule over samples y(x) along the last axis."""
-    return (np.diff(x) * (y[..., 1:] + y[..., :-1]) / 2.0).sum(axis=-1)
+    pair = y[..., 1:] + y[..., :-1]
+    pair *= np.diff(x)
+    pair /= 2.0
+    return pair.sum(axis=-1)
 
 
 def _energy(series: np.ndarray, times: np.ndarray) -> float:
@@ -457,9 +467,16 @@ def peak_transmission(alpha: float, delta):
 
     Aligning the non-decaying and decaying mode weights gives
     (|1+E| + |1-E|)^2 / 4, identical for probe and signal.  Arrays of
-    depths and detunings broadcast to one value per pair.
+    depths and detunings broadcast to one value per pair.  A negative or
+    non-finite depth and any non-finite detuning raise ValueError.
     """
-    dark, bright = balanced_components(alpha, delta)
+    _check_balanced(alpha, delta)
+    return _peak_transmission(alpha, delta)
+
+
+def _peak_transmission(depth, delta):
+    """`peak_transmission` unchecked: the golden objective on inputs its caller validated."""
+    dark, bright = _mode_weights(_decay_kernel(depth, delta))
     return (np.abs(dark) + np.abs(bright)) ** 2
 
 
@@ -520,11 +537,11 @@ def amplification_sweep(
     if invalid.any():
         raise ValueError(f"alpha must be finite and >= 0, got {alphas[int(np.argmax(invalid))]}")
     deep = np.flatnonzero(depths > 0.0)
-    scanned = peak_transmission(depths[deep, None], grid)
+    scanned = _peak_transmission(depths[deep, None], grid)
     peaks = np.argmax(scanned, axis=1) + grid.size * np.arange(deep.size)
     deltas = np.full(depths.size, math.nan)
     deltas[deep] = refine_maxima(
-        lambda d, a: peak_transmission(a, d), grid, scanned, peaks, tol, args=(depths[deep],)
+        lambda d, a: _peak_transmission(a, d), grid, scanned, peaks, tol, args=(depths[deep],)
     )
     return [_working_point(alpha, delta) for alpha, delta in zip(alphas, deltas.tolist())]
 

@@ -108,9 +108,27 @@ def coherences_steady(params: MediumParams, fields: FieldPair) -> CoherenceState
     return CoherenceState(rho21=rho21, rho31=rho31, rho41=rho41)
 
 
+def _check_balanced(alpha, delta) -> None:
+    """The one depth and detuning check of the balanced closed forms' public entries."""
+    if not (np.isfinite(alpha) & (np.asarray(alpha) >= 0.0)).all():
+        raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
+    if not np.isfinite(delta).all():
+        raise ValueError(f"delta must be finite, got {delta}")
+
+
 def _decay_kernel(depth, delta):
     """Decaying-mode factor exp(-i*depth/(2*(i + delta))) at effective detuning delta."""
     return np.exp(-0.5j * depth / (1j + delta))
+
+
+def _mode_weights(env):
+    """Non-decaying and decaying mode weights (1 + E)/2 and (1 - E)/2 of a decay factor E."""
+    return 0.5 * (1.0 + env), 0.5 * (1.0 - env)
+
+
+def _field_ratio(env, phase):
+    """One field's balanced ratio (1 + p)/2 + (1 - p)/2*E at loop phasor p and decay factor E."""
+    return 0.5 * ((1.0 + phase) + (1.0 - phase) * env)
 
 
 def decay_factor(alpha: float, delta):
@@ -119,12 +137,12 @@ def decay_factor(alpha: float, delta):
     Equals exp(-i*alpha/(2*xi)) with xi = i + delta.  Scalar arguments give
     a complex; arrays broadcast (a column of depths against a row of
     detunings gives one factor per pair).  A negative or non-finite depth
-    and any non-finite detuning raise ValueError.
+    and any non-finite detuning raise ValueError.  This is the validated
+    entry; loops over inputs their caller has already checked (the
+    optimizers' golden objectives, `phase_jump.verify_jump`) evaluate the
+    raw `_decay_kernel` instead.
     """
-    if not (np.isfinite(alpha) & (np.asarray(alpha) >= 0.0)).all():
-        raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
-    if not np.isfinite(delta).all():
-        raise ValueError(f"delta must be finite, got {delta}")
+    _check_balanced(alpha, delta)
     env = _decay_kernel(alpha, delta)
     return env if np.ndim(env) else complex(env)
 
@@ -136,8 +154,7 @@ def balanced_components(alpha: float, delta):
     c = (1-E)/2 (the signal ratio carries exp(+i*phi_r) instead); both
     weights are returned, as arrays when either argument is an array.
     """
-    env = decay_factor(alpha, delta)
-    return 0.5 * (1.0 + env), 0.5 * (1.0 - env)
+    return _mode_weights(decay_factor(alpha, delta))
 
 
 def transfer_matrix(params: MediumParams, depth):
@@ -194,9 +211,7 @@ def balanced_ratios(depth, delta, phi_r):
     """
     env = _decay_kernel(np.asarray(depth, dtype=float), delta)
     phase = np.exp(-1j * phi_r)
-    probe = 0.5 * ((1.0 + phase) + (1.0 - phase) * env)
-    signal = 0.5 * ((1.0 + np.conj(phase)) + (1.0 - np.conj(phase)) * env)
-    return probe, signal
+    return _field_ratio(env, phase), _field_ratio(env, np.conj(phase))
 
 
 def propagate_balanced(

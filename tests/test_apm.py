@@ -15,6 +15,7 @@ from dleit.apm import (
     phi_r_for_half_pi_shift,
     phi_r_for_pi_shift,
     scan_local_maxima,
+    _pinned_phase,
     _ray_solutions,
     _reduce_roots,
 )
@@ -26,8 +27,9 @@ from dleit.core import (
     detuning_grid,
     wrap_signed,
 )
+from dleit.dynamics import _peak_transmission, amplification_sweep, peak_transmission
 from dleit.phase_jump import critical_depth, jump_phase_probe
-from dleit.steady_state import ZeroFieldError, balanced_components, balanced_ratios
+from dleit.steady_state import ZeroFieldError, balanced_components, balanced_ratios, decay_factor
 
 alphas = st.floats(min_value=0.5, max_value=150.0)
 detunings = st.floats(min_value=0.2, max_value=60.0)
@@ -396,7 +398,58 @@ def test_apm_entry_points_reject_non_finite_inputs(bad, target):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr("dleit.apm.balanced_components", fail)
+        patch.setattr("dleit.apm._decay_kernel", fail)
         for call in calls:
             with pytest.raises(ValueError, match="finite") as info:
                 call()
             assert not isinstance(info.value, InfeasibleError)
+
+
+@given(
+    pairs=st.lists(st.tuples(alphas, st.floats(min_value=-60.0, max_value=60.0)), min_size=1, max_size=24),
+    target=targets,
+)
+@settings(max_examples=100, deadline=None)
+def test_golden_objectives_equal_their_validated_entry_points(pairs, target):
+    # The golden loops evaluate the unchecked closed forms on one (depth,
+    # detuning) per band; each value must equal, bit for bit, what the
+    # validated one-point entries return for that pair.
+    depths, deltas = (np.array(column) for column in zip(*pairs))
+
+    def pinned(alpha, delta):
+        try:
+            return _pinned_phase(alpha, delta, target)[1]
+        except InfeasibleError:
+            return np.nan
+
+    expected = [pinned(a, d) for a, d in pairs]
+    assert np.array_equal(_ray_solutions(depths, deltas, target)[1], expected, equal_nan=True)
+    peak = _peak_transmission(depths, deltas)
+    dark, bright = balanced_components(depths, deltas)
+    assert np.array_equal(peak, (np.abs(dark) + np.abs(bright)) ** 2)
+    # One-element arrays, as the loops evaluate them: numpy's scalar complex
+    # exp can differ from its array loop in the last bit.
+    assert np.array_equal(peak, [peak_transmission(np.array([a]), d)[0] for a, d in pairs])
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+@pytest.mark.parametrize("target", ["pi", "half_pi"])
+def test_public_entries_keep_their_depth_errors(bad, target):
+    # The golden objectives no longer check depths, so the entry points must.
+    with pytest.raises(ValueError, match=f"alpha must be finite and > 0, got {bad}") as info:
+        SOLVERS[target](bad, 16.5)
+    assert not isinstance(info.value, InfeasibleError)
+    with pytest.raises(ValueError, match="delta must be finite, got nan"):
+        SOLVERS[target](bad, np.nan)
+    with pytest.raises(ValueError, match=f"got {bad}"):
+        optimize_detuning_sweep([100.0, 50.0, bad, np.nan], target)
+    with pytest.raises(ValueError, match="got nan"):
+        optimize_detuning_sweep([100.0, np.nan, bad], target)
+    if bad != 0.0:
+        with pytest.raises(ValueError, match=f"alpha must be finite and >= 0, got {bad}"):
+            decay_factor(bad, 16.5)
+        with pytest.raises(ValueError, match=f"got {bad}"):
+            amplification_sweep([50.0, 0.0, bad, np.nan])
+    assert decay_factor(0.0, 16.5) == 1.0
+    with pytest.raises(ValueError, match="delta must be finite"):
+        decay_factor(100.0, np.array([16.5, np.nan]))

@@ -9,6 +9,7 @@ import pytest
 from dleit.cli import _parse_pair, _parse_sweep, build_parser, main
 from dleit.core import MediumParams
 from dleit.dynamics import PulseShape, SimGrid, simulate
+from dleit.phase_jump import critical_depth, detect_zero_crossing
 from dleit.steady_state import trace_curve, unwrapped_phase
 
 
@@ -224,6 +225,48 @@ def test_jump_verify_locates_zero(tmp_path):
         assert not math.isnan(row[4])
         assert row[5] < row[6]
     assert rows[0][1] == pytest.approx(52.0267, abs=1e-3)
+
+
+@pytest.mark.parametrize("samples", [3, 64, 2000])
+@pytest.mark.parametrize("argv", [
+    ["--delta-sweep=-50:-2:2.5"],
+    ["--delta-sweep=-20:20:0.75", "--n", "3"],
+    ["--delta", "-16.5", "16.5", "0.3", "-0.3", "34.25"],
+])
+def test_jump_verify_rows_equal_traced_zero_crossings(tmp_path, argv, samples):
+    # The probe-only verification gives, bit for bit, the zero that the
+    # traced balanced curve and the public zero locator give.
+    text = run_csv(tmp_path, "jump.csv", ["jump", *argv, "--verify", "--samples", str(samples)])
+    _, _, rows = parse_csv(text)
+    n = 3 if "--n" in argv else 1
+    assert len(rows) >= 5
+    for delta, depth, probe_phase, _, zero, offset, step in rows:
+        curve = trace_curve(probe_phase, MediumParams(alpha=depth, delta=delta), n_samples=samples)
+        expected = detect_zero_crossing(curve, "probe")
+        assert depth == critical_depth(delta, n)
+        if expected is None:
+            assert math.isnan(zero) and math.isnan(offset)
+        else:
+            assert zero == expected and offset == abs(expected - depth)
+        assert step == depth / (samples - 1)
+
+
+@pytest.mark.parametrize("verify", [[], ["--verify"]])
+@pytest.mark.parametrize("samples", ["1", "0", "-4"])
+def test_jump_rejects_too_few_samples_before_computing(verify, samples, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("jump computed before --samples was validated")
+
+    monkeypatch.setattr("dleit.cli.solve_jump", fail)
+    monkeypatch.setattr("dleit.cli.verify_jump", fail)
+    assert main(["jump", "--delta", "16.5", "--samples", samples, *verify]) == 2
+    assert "samples must be >= 2" in capsys.readouterr().err
+
+
+def test_jump_verify_rejects_an_infinite_critical_depth(capsys):
+    # |delta| so large that alpha_c = pi*(delta^2 + 1)/|delta| overflows.
+    assert main(["jump", "--delta", "1e200", "--verify"]) == 2
+    assert "critical depth" in capsys.readouterr().err
 
 
 def test_jump_sweep_grid(tmp_path):

@@ -9,12 +9,14 @@ from hypothesis import example, given, strategies as st
 from dleit.core import MediumParams, wrap_phase
 from dleit.phase_jump import (
     GRID_WINDOW_FRACTION,
+    JumpSolution,
     ZERO_MAGNITUDE_TOL,
     critical_depth,
     detect_zero_crossing,
     jump_phase_probe,
     jump_phase_signal,
     solve_jump,
+    verify_jump,
     zero_crossings,
 )
 from dleit.steady_state import (
@@ -235,6 +237,31 @@ def test_zero_locator_plateau_and_nan_curvature():
     curve = curve_of([0.0, 1e-10, 0.0])
     assert zero_crossings(curve)[-1] == curve.zeta_grid[2]
     assert zero_crossings(curve_of([math.nan, 1e-10, 0.0])) == []
+
+
+@given(delta=detunings, sign=st.sampled_from([1.0, -1.0]), n=orders,
+       samples=st.sampled_from([2, 3, 4, 64, 2000]))
+@example(delta=16.5, sign=-1.0, n=3, samples=2000)
+@example(delta=0.5, sign=1.0, n=1, samples=3)
+def test_verify_jump_equals_traced_zero_crossing(delta, sign, n, samples):
+    sol = solve_jump(sign * delta, n)
+    params = MediumParams(alpha=sol.critical_depth, delta=sol.delta)
+    expected = detect_zero_crossing(trace_curve(sol.probe_jump_phase, params, n_samples=samples))
+    zero = verify_jump(sol, samples)
+    assert zero == expected and type(zero) is type(expected)
+
+
+def test_verify_jump_validates_its_inputs():
+    with pytest.raises(ValueError, match="n_samples"):
+        verify_jump(solve_jump(16.5), 1)
+    sol = solve_jump(1e200)  # alpha_c overflows to inf
+    assert sol.critical_depth == math.inf
+    good = solve_jump(16.5)
+    for bad in (sol, JumpSolution(1, 16.5, 0.0, 1.0, 2.0),
+                JumpSolution(1, math.nan, good.critical_depth, 1.0, 2.0),
+                JumpSolution(1, 16.5, good.critical_depth, math.inf, 2.0)):
+        with pytest.raises(ValueError, match="critical depth"):
+            verify_jump(bad)
 
 
 def test_zero_crossings_rejects_unknown_field():

@@ -241,7 +241,7 @@ def test_balanced_entry_points_reject_non_finite_loop_phase(bad):
 ], ids=["decay_factor", "balanced_components", "peak_transmission",
         "optimal_relative_phase", "apm_contrast"])
 def test_balanced_closed_forms_reject_non_finite_depth_or_detuning(entry, bad):
-    # Every entry point goes through decay_factor, which must raise rather
+    # Every entry point runs decay_factor's one check, which must raise rather
     # than return NaN (or, for delta = +-inf, a silent factor of 1); one bad
     # entry of a detuning array is enough.
     for alpha, delta in ((bad, 16.5), (100.0, bad), (100.0, np.array([1.0, bad, 3.0]))):
