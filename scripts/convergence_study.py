@@ -11,6 +11,14 @@ Pulse transients are a different matter: the split step (coherences with
 frozen fields, then the field rebuild) is first order in dt, which this
 CW study does not probe.
 
+The runs need only the terminal outputs, so `simulate` answers them
+through its discrete-exact FFT twin of that split step, not by stepping;
+the twin reproduces the stepper within 2.5e-13 of the amplitude on the
+default four levels, far below the errors printed here, and falls back
+to the stepper whenever its certificate or guard fails.  The measured
+orders are therefore the scheme's.  Set the "dleit" logger to DEBUG to
+see each run's route.
+
 Usage: python scripts/convergence_study.py [--alpha 20] [--levels 4]
 """
 

@@ -6,7 +6,13 @@ output phases, and pulse propagation.  The package provides the
 steady-state closed forms, the critical-depth phase-jump analytics, the
 phase-modulation design tools, and a time-domain Maxwell-Bloch integrator,
 all in Gamma units.
+
+The package logs to the "dleit" logger, which carries a NullHandler:
+nothing is printed unless the application configures logging.  At DEBUG
+level `simulate` names the route each run took.
 """
+
+import logging
 
 from .core import (
     FieldPair,
@@ -66,6 +72,8 @@ from .dynamics import (
     steady_cw_output,
     step_fields,
 )
+
+logging.getLogger(__name__).addHandler(logging.NullHandler())
 
 __version__ = "0.1.0"
 

@@ -1,6 +1,7 @@
 """End-to-end command-line runs: output contract, config handling, exit codes."""
 
 import json
+import logging
 import math
 
 import numpy as np
@@ -375,6 +376,29 @@ def test_propagate_emits_waveforms_and_energy_meta(tmp_path):
     assert len(rows) == 41
     assert any("energy_transmission_probe" in line for line in meta)
     assert any("group_delay_signal" in line for line in meta)
+
+
+def test_propagate_bytes_do_not_depend_on_logging(tmp_path, capsys):
+    # simulate logs its route at DEBUG.  With logging off the package's
+    # NullHandler keeps that off both streams; with a DEBUG handler attached
+    # the record goes to the handler and the CSV bytes stay the same.
+    argv = ["propagate", "--alpha", "5", "--n-z", "32", "--dt", "0.05", "--t-final", "300"]
+    quiet = run_csv(tmp_path, "quiet.csv", argv)
+    assert tuple(capsys.readouterr()) == ("", "")
+    records = []
+    handler = logging.Handler(logging.DEBUG)
+    handler.emit = records.append
+    logger = logging.getLogger("dleit")
+    level = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.DEBUG)
+    try:
+        loud = run_csv(tmp_path, "loud.csv", argv)
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+    assert [r.getMessage() for r in records] == ["simulate: spectral route"]
+    assert loud == quiet
 
 
 def test_propagate_rows_are_simulate_arrays_at_stride(tmp_path):

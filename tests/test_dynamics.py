@@ -1,12 +1,15 @@
 """Time-domain solver checks against closed forms and physical invariants."""
 
+import logging
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 from scipy.integrate import cumulative_trapezoid
 
+from dleit import dynamics
 from dleit.core import (
     DEFAULT_DELTA_RANGE,
     DEFAULT_DELTA_TOL,
@@ -17,6 +20,7 @@ from dleit.core import (
 )
 from dleit.dynamics import (
     PULSE_KINDS,
+    SPECTRAL_TAIL_BOUND,
     AmplificationResult,
     NumericalInstability,
     PulseShape,
@@ -283,10 +287,30 @@ REFERENCE_CASES = pytest.mark.parametrize(
 @REFERENCE_CASES
 def test_simulate_matches_reference_loop(n_z, params, probe, signal):
     grid = SimGrid(n_z=n_z, dt=0.05, t_final=20.0)
-    res = simulate(params, probe, signal, grid)
+    res = simulate(params, probe, signal, grid, store_maps=True)
     ref = reference_states(params, probe, signal, grid)
     assert np.abs(res.output_probe - ref[:, 4, -1]).max() <= 1e-15 * AMP
     assert np.abs(res.output_signal - ref[:, 3, -1]).max() <= 1e-15 * AMP
+
+
+def debug_routes(caplog):
+    """The route messages `simulate` logged to "dleit.dynamics"."""
+    return [r.getMessage() for r in caplog.records if r.name == "dleit.dynamics"]
+
+
+@pytest.mark.parametrize("n_z", [16, 64])
+@REFERENCE_CASES
+def test_spectral_route_matches_reference_loop(n_z, params, probe, signal, caplog):
+    # t_final = 60 lets both cases' impulse responses settle inside the
+    # padding, so the default route answers.  The cw case's slow near-dark
+    # mode leaves the largest wrap residue: 4.3e-12 * AMP measured.
+    caplog.set_level(logging.DEBUG, logger="dleit")
+    grid = SimGrid(n_z=n_z, dt=0.05, t_final=60.0)
+    res = simulate(params, probe, signal, grid)
+    assert debug_routes(caplog) == ["simulate: spectral route"]
+    ref = reference_states(params, probe, signal, grid)
+    assert np.abs(res.output_probe - ref[:, 4, -1]).max() <= 1e-11 * AMP
+    assert np.abs(res.output_signal - ref[:, 3, -1]).max() <= 1e-11 * AMP
 
 
 @pytest.mark.parametrize("map_stride", [1, 7])
@@ -385,6 +409,202 @@ def test_simulate_map_snapshots_are_copies():
     assert np.array_equal(res.field_map_probe[:, 0], res.input_probe[k])
     for earlier, later in zip(res.coherence_map[:-1], res.coherence_map[1:]):
         assert np.any(earlier != later)
+
+
+def stepper_run(params, probe, signal, grid):
+    """The same run held on the stepper: storing maps keeps it there."""
+    return simulate(params, probe, signal, grid, store_maps=True, map_stride=grid.n_steps)
+
+
+def assert_bit_identical(res, ref):
+    assert np.array_equal(res.output_probe, ref.output_probe)
+    assert np.array_equal(res.output_signal, ref.output_signal)
+    assert res.energy_transmission_probe == ref.energy_transmission_probe
+    assert res.energy_transmission_signal == ref.energy_transmission_signal
+    assert res.group_delay_probe == ref.group_delay_probe
+    assert res.group_delay_signal == ref.group_delay_signal
+
+
+def assert_twin_agrees(res, ref, t_final):
+    """Terminal outputs within 1e-9 of the peak input, and the bookkeeping with them."""
+    peak = max(np.abs(ref.input_probe).max(), np.abs(ref.input_signal).max())
+    assert np.abs(res.output_probe - ref.output_probe).max() <= 1e-9 * peak
+    assert np.abs(res.output_signal - ref.output_signal).max() <= 1e-9 * peak
+    for field in ("probe", "signal"):
+        energy = getattr(ref, f"energy_transmission_{field}")
+        assert getattr(res, f"energy_transmission_{field}") == pytest.approx(energy, rel=1e-9, abs=1e-12)
+        # a centroid moves by about t_final * (relative energy change)
+        assert getattr(res, f"group_delay_{field}") == pytest.approx(
+            getattr(ref, f"group_delay_{field}"), abs=1e-9 * t_final / min(1.0, energy)
+        )
+
+
+class RouteLog(logging.Handler):
+    """Collects `simulate`'s route messages where pytest's caplog fixture cannot go."""
+
+    def __init__(self):
+        super().__init__(logging.DEBUG)
+        self.messages = []
+
+    def emit(self, record):
+        self.messages.append(record.getMessage())
+
+    def __enter__(self):
+        logger = logging.getLogger("dleit")
+        self.level = logger.level
+        logger.setLevel(logging.DEBUG)
+        logger.addHandler(self)
+        return self
+
+    def __exit__(self, *exc):
+        logger = logging.getLogger("dleit")
+        logger.removeHandler(self)
+        logger.setLevel(self.level)
+
+
+def pulse_of(kind, amplitude, t_on, width):
+    if kind == "cw":
+        return PulseShape.cw(amplitude, t_on)
+    rise = 2.0 if kind == "smoothed_square" else 0.0
+    return PulseShape(kind, amplitude, t_on, t_on + width, rise)
+
+
+drive_magnitude = st.floats(min_value=0.5, max_value=2.0)
+
+
+@given(
+    kind=st.sampled_from(PULSE_KINDS),
+    alpha=st.floats(min_value=0.0, max_value=40.0),
+    delta=st.floats(min_value=-10.0, max_value=10.0),
+    gamma21=st.one_of(st.just(0.0), st.floats(min_value=0.01, max_value=0.2)),
+    omega_c=drive_magnitude,
+    omega_d=drive_magnitude,
+    phi_r=st.floats(min_value=0.0, max_value=2.0 * math.pi),
+    n_z=st.integers(min_value=16, max_value=801),
+    dt=st.floats(min_value=0.05, max_value=0.2),
+    t_final=st.floats(min_value=100.0, max_value=200.0),
+    t_on=st.floats(min_value=0.0, max_value=20.0),
+    width=st.floats(min_value=5.0, max_value=60.0),
+)
+@settings(max_examples=30, deadline=None)
+def test_default_route_matches_stepper(
+    kind, alpha, delta, gamma21, omega_c, omega_d, phi_r, n_z, dt, t_final, t_on, width
+):
+    # Imbalanced drives, both gamma21 regimes and every pulse kind: the
+    # twin answers within 1e-9 of the peak input (at most 3.6e-11 over 610
+    # such draws), and a fallback is the stepper itself.
+    params = MediumParams(alpha=alpha, delta=delta, gamma21=gamma21, omega_c=omega_c,
+                          omega_d=omega_d * np.exp(1j * phi_r))
+    probe = pulse_of(kind, AMP, t_on, width)
+    signal = pulse_of(kind, 0.6j * AMP, t_on, width)
+    grid = SimGrid(n_z=n_z, dt=dt, t_final=t_final)
+    with RouteLog() as log:
+        res = simulate(params, probe, signal, grid)
+    ref = stepper_run(params, probe, signal, grid)
+    if log.messages[0] == "simulate: spectral route":
+        event("spectral route")
+        assert_twin_agrees(res, ref, t_final)
+    else:
+        event("stepper fallback")
+        assert_bit_identical(res, ref)
+
+
+@pytest.mark.parametrize("kind", PULSE_KINDS)
+@pytest.mark.parametrize(
+    "params",
+    [
+        MediumParams(alpha=12.0, delta=3.0, omega_c=1.4, omega_d=0.8 * np.exp(2.5j)),
+        MediumParams(alpha=25.0, delta=-6.0, gamma21=0.05, omega_c=0.9, omega_d=1.6j),
+    ],
+    ids=["imbalanced", "imbalanced_dephased"],
+)
+def test_spectral_route_answers_settled_runs(kind, params, caplog):
+    caplog.set_level(logging.DEBUG, logger="dleit")
+    probe, signal = pulse_of(kind, AMP, 5.0, 30.0), pulse_of(kind, -0.4j * AMP, 5.0, 30.0)
+    grid = SimGrid(n_z=64, dt=0.1, t_final=150.0)
+    res = simulate(params, probe, signal, grid)
+    assert debug_routes(caplog) == ["simulate: spectral route"]
+    assert_twin_agrees(res, stepper_run(params, probe, signal, grid), grid.t_final)
+
+
+def test_guard_samples_exactly_where_its_bound_fails(caplog, monkeypatch):
+    # At amplitude 0.8 the mean-|DFT| bound on |rho| exceeds 1 at every
+    # checked grid point, so each point's coherences are inverse-transformed
+    # and checked sample by sample; they stay below 1, and the twin answers.
+    caplog.set_level(logging.DEBUG, logger="dleit")
+    shapes = []
+    ifft = np.fft.ifft
+
+    def spy(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return ifft(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "ifft", spy)
+    params, pulse = MediumParams(alpha=5.0), PulseShape.cw(0.8)
+    grid = SimGrid(n_z=32, dt=0.05, t_final=60.0)
+    res = simulate(params, pulse, pulse, grid)
+    assert debug_routes(caplog) == ["simulate: spectral route"]
+    assert shapes.count((3, 4096)) == 3  # grid points 0, 25 and 31
+    assert_twin_agrees(res, stepper_run(params, pulse, pulse, grid), grid.t_final)
+
+
+def test_stored_maps_keep_the_stepper_route(caplog):
+    caplog.set_level(logging.DEBUG, logger="dleit")
+    probe, signal = cw_pair()
+    simulate(MediumParams(alpha=5.0), probe, signal, SimGrid(n_z=16, dt=0.05, t_final=60.0),
+             store_maps=True)
+    assert debug_routes(caplog) == ["simulate: stepper route (maps stored)"]
+
+
+def test_unsettled_response_falls_back_bit_identically(caplog):
+    # A deep, near-dark medium over a short run: its impulse response is
+    # still ringing where the zero padding wraps, so the certificate fails.
+    caplog.set_level(logging.DEBUG, logger="dleit")
+    params = MediumParams(alpha=20.0, delta=5.0, omega_d=np.exp(2j))
+    probe, signal = cw_pair()
+    grid = SimGrid(n_z=64, dt=0.05, t_final=20.0)
+    res = simulate(params, probe, signal, grid)
+    (message,) = debug_routes(caplog)
+    assert message.startswith("simulate: stepper route (certificate tail ")
+    assert float(message.split("tail ")[1].rstrip(")")) > SPECTRAL_TAIL_BOUND
+    assert_bit_identical(res, stepper_run(params, probe, signal, grid))
+
+
+def test_runs_past_the_longest_fft_keep_the_stepper(caplog, monkeypatch):
+    caplog.set_level(logging.DEBUG, logger="dleit")
+    monkeypatch.setattr(dynamics, "_SPECTRAL_MAX_SIZE", 2048)
+    probe, signal = cw_pair()
+    params, grid = MediumParams(alpha=5.0), SimGrid(n_z=16, dt=0.05, t_final=60.0)
+    res = simulate(params, probe, signal, grid)
+    assert debug_routes(caplog) == ["simulate: stepper route (FFT length 4096 over 2048)"]
+    assert_bit_identical(res, stepper_run(params, probe, signal, grid))
+
+
+def test_singular_resolvent_falls_back_without_warnings(caplog):
+    # With both drives off (injected past validation) and gamma21 = 0, rho21
+    # never moves: P has the eigenvalue 1 and z I - P is singular at z = 1.
+    caplog.set_level(logging.DEBUG, logger="dleit")
+    params = MediumParams(alpha=5.0)
+    object.__setattr__(params, "omega_c", 0j)
+    object.__setattr__(params, "omega_d", 0j)
+    probe, signal = cw_pair()
+    grid = SimGrid(n_z=16, dt=0.05, t_final=60.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = simulate(params, probe, signal, grid)
+    assert debug_routes(caplog) == ["simulate: stepper route (non-finite transfer function)"]
+    assert_bit_identical(res, stepper_run(params, probe, signal, grid))
+
+
+def test_spectral_route_gives_exact_zeros_for_zero_inputs(caplog):
+    caplog.set_level(logging.DEBUG, logger="dleit")
+    zero = PulseShape.square(0.0, 0.0, 2.0)
+    res = simulate(MediumParams(alpha=5.0), zero, zero, SimGrid(n_z=16, dt=0.05, t_final=60.0))
+    assert debug_routes(caplog) == ["simulate: spectral route"]
+    assert np.all(res.output_probe == 0.0)
+    assert np.all(res.output_signal == 0.0)
+    assert res.energy_transmission_probe == 0.0
+    assert math.isnan(res.group_delay_signal)
 
 
 def test_simulate_zero_inputs_give_zero_outputs():
@@ -503,37 +723,55 @@ def test_pulse_pair_reaches_amplified_plateau():
     assert res.group_delay_probe != res.group_delay_signal
 
 
-def test_simulate_aborts_on_strong_fields():
+def assert_aborts_after_fallback(caplog, check, params, probe, signal, grid):
+    """The run falls back on `check` and the stepper raises its own error."""
+    caplog.set_level(logging.DEBUG, logger="dleit")
+    with pytest.raises(NumericalInstability, match=r"^aborted at t = "):
+        simulate(params, probe, signal, grid)
+    (message,) = debug_routes(caplog)
+    assert message.startswith(f"simulate: stepper route ({check}")
+
+
+def test_simulate_aborts_on_strong_fields(caplog):
     strong = PulseShape.cw(50.0)
-    with pytest.raises(NumericalInstability):
-        simulate(
-            MediumParams(alpha=10.0),
-            strong,
-            strong,
-            SimGrid(n_z=32, dt=0.02, t_final=20.0),
-        )
+    assert_aborts_after_fallback(caplog, "certificate tail", MediumParams(alpha=10.0),
+                                 strong, strong, SimGrid(n_z=32, dt=0.02, t_final=20.0))
 
 
-def test_simulate_aborts_on_nan_detuning():
+def test_simulate_aborts_on_strong_fields_past_the_certificate(caplog):
+    # A run long enough to certify: the transposed guard rejects it instead.
+    strong = PulseShape.cw(50.0)
+    assert_aborts_after_fallback(caplog, "guard at grid point 0", MediumParams(alpha=10.0),
+                                 strong, strong, SimGrid(n_z=32, dt=0.05, t_final=60.0))
+
+
+def test_simulate_aborts_on_nan_detuning(caplog):
     # construction rejects NaN, so inject it past the validation to check
     # that the stepper's own guard catches non-finite state
     params = MediumParams(alpha=5.0)
     object.__setattr__(params, "delta", math.nan)
     probe, signal = cw_pair()
-    with pytest.raises(NumericalInstability):
-        simulate(params, probe, signal, SimGrid(n_z=16, dt=0.05, t_final=2.0))
+    assert_aborts_after_fallback(caplog, "non-finite transfer function", params,
+                                 probe, signal, SimGrid(n_z=16, dt=0.05, t_final=2.0))
 
 
-@pytest.mark.parametrize("field", ["probe", "signal"])
-def test_simulate_aborts_on_nan_input(field):
+def nan_input_pair(field):
     bad = PulseShape.cw(AMP)
     object.__setattr__(bad, "amplitude", complex(math.nan, 0.0))
     good = PulseShape.cw(AMP)
-    probe, signal = (bad, good) if field == "probe" else (good, bad)
-    with pytest.raises(NumericalInstability):
-        simulate(
-            MediumParams(alpha=5.0), probe, signal, SimGrid(n_z=16, dt=0.05, t_final=2.0)
-        )
+    return (bad, good) if field == "probe" else (good, bad)
+
+
+@pytest.mark.parametrize("field", ["probe", "signal"])
+def test_simulate_aborts_on_nan_input(field, caplog):
+    assert_aborts_after_fallback(caplog, "certificate tail", MediumParams(alpha=5.0),
+                                 *nan_input_pair(field), SimGrid(n_z=16, dt=0.05, t_final=2.0))
+
+
+@pytest.mark.parametrize("field", ["probe", "signal"])
+def test_simulate_aborts_on_nan_input_past_the_certificate(field, caplog):
+    assert_aborts_after_fallback(caplog, "guard at grid point 0", MediumParams(alpha=5.0),
+                                 *nan_input_pair(field), SimGrid(n_z=16, dt=0.05, t_final=60.0))
 
 
 def test_simulate_map_storage():

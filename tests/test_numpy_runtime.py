@@ -33,8 +33,12 @@ SRC = Path(dleit.__file__).resolve().parents[1]
 
 NO_SCIPY = """
 import runpy, sys
+import numpy
+eager_fft = "numpy.fft" in sys.modules  # numpy < 2 imports it with numpy
 import dleit
 assert "scipy" not in sys.modules, "import dleit"
+# simulate's spectral route reaches numpy.fft lazily, on its first call
+assert eager_fft or "numpy.fft" not in sys.modules, "import dleit loaded numpy.fft"
 sys.argv = ["dleit", "--help"]
 try:
     runpy.run_module("dleit.cli", run_name="__main__")
