@@ -70,9 +70,11 @@ from .core import (
     wrap_phase,
 )
 from .steady_state import (
+    _adjugate,
     _check_balanced,
     _decay_kernel,
     _mode_weights,
+    _obe_matrix,
     balanced_components,
     balanced_ratios,
     propagate_general,
@@ -262,20 +264,6 @@ class PulseSimResult:
     coherence_map: np.ndarray | None = None
 
 
-def _obe_matrix(
-    delta: float, gamma21: float, omega_c: complex, omega_d: complex
-) -> np.ndarray:
-    """Homogeneous matrix of the coherence ODE in (rho41, rho31, rho21) order."""
-    return np.array(
-        [
-            [1j * delta - 0.5, 0.0, 0.5j * omega_d],
-            [0.0, -0.5, 0.5j * omega_c],
-            [0.5j * np.conj(omega_d), 0.5j * np.conj(omega_c), -0.5 * gamma21],
-        ],
-        dtype=complex,
-    )
-
-
 def _expm(a: np.ndarray) -> np.ndarray:
     """Matrix exponential: the degree-18 Taylor series of a/2^s, squared s times.
 
@@ -301,8 +289,8 @@ def _propagators(
 
     The state (rho41, rho31, rho21) advances as x -> P x + S b with source
     b = (i/2)(Omega_s, Omega_p, 0); both matrices come from one exponential
-    of the augmented 6x6 block matrix, which handles a singular homogeneous
-    matrix (gamma21 = 0) without special cases.
+    of the augmented 6x6 block matrix.  The closed form S = A^-1 (P - I)
+    would lose S to cancellation at small dt, where P - I ~ dt A.
     """
     aug = np.zeros((6, 6), dtype=complex)
     aug[:3, :3] = _obe_matrix(delta, gamma21, omega_c, omega_d)
@@ -476,9 +464,8 @@ def _spectral_outputs(
     # S' = (i/2) S[:, :2]: a quadratic over a cubic in u, by Cayley-Hamilton.
     q = np.eye(3) - step
     drive = 0.5j * source[:, :2]
-    nxt, far = [1, 2, 0], [2, 0, 1]
-    adj_q = (q[nxt][:, nxt] * q[far][:, far] - q[nxt][:, far] * q[far][:, nxt]).T
-    c1, c2, c3 = q.trace(), adj_q.trace(), q[0] @ adj_q[:, 0]
+    adj_q, c3 = _adjugate(q)
+    c1, c2 = q.trace(), adj_q.trace()
     lin, const = c1 * drive - q @ drive, adj_q @ drive
     with np.errstate(all="ignore"):
         resolvent = drive[..., None] * u

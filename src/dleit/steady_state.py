@@ -7,8 +7,10 @@ field pair, the general propagation solution for arbitrary drive magnitudes,
 the compact balanced-case solution parameterized by the loop phase phi_r,
 and transmission/phase extraction from terminal field ratios.
 
-The propagation solution (one transfer matrix) holds for any gamma21 >= 0;
-the coherence and balanced closed forms require gamma21 = 0.
+One optical-Bloch-equation matrix A (`_obe_matrix`) and one 3x3 inverse
+(`_adjugate`) sit behind the coherences, the transfer matrix and the spectral
+twin of `dleit.dynamics`, for any gamma21 >= 0; the balanced forms alone
+require gamma21 = 0.
 """
 
 from __future__ import annotations
@@ -44,10 +46,8 @@ class CoherenceState:
     rho41: complex
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "rho21", complex(self.rho21))
-        object.__setattr__(self, "rho31", complex(self.rho31))
-        object.__setattr__(self, "rho41", complex(self.rho41))
         for name in ("rho21", "rho31", "rho41"):
+            object.__setattr__(self, name, complex(getattr(self, name)))
             if abs(getattr(self, name)) > 0.5:
                 raise ValueError(
                     f"|{name}| > 0.5: fields are outside the perturbative regime"
@@ -85,26 +85,40 @@ class PropagationCurve:
 
 
 def _require_undephased(params: MediumParams) -> None:
-    """The one gamma21 = 0 guard of the coherence and balanced closed forms."""
+    """The one gamma21 = 0 guard of the balanced closed forms."""
     if params.gamma21 != 0.0:
-        raise ValueError("closed form requires gamma21 = 0; for dephased media use "
-                         "propagate_general (fields) or dleit.dynamics (coherences)")
+        raise ValueError("balanced closed form requires gamma21 = 0; for dephased media "
+                         "use propagate_general or trace_curve(incident=...)")
+
+
+def _obe_matrix(delta: float, gamma21: float, omega_c: complex, omega_d: complex) -> np.ndarray:
+    """Homogeneous matrix A of the coherence ODE in (rho41, rho31, rho21) order.
+
+    Never singular: Re det A = -(gamma21 + |Omega_c|^2 + |Omega_d|^2)/8 < 0,
+    as MediumParams rejects vanishing drives.
+    """
+    return np.array([[1j * delta - 0.5, 0.0, 0.5j * omega_d],
+                     [0.0, -0.5, 0.5j * omega_c],
+                     [0.5j * omega_d.conjugate(), 0.5j * omega_c.conjugate(), -0.5 * gamma21]])
+
+
+def _adjugate(q: np.ndarray) -> tuple[np.ndarray, complex]:
+    """Adjugate and determinant of a 3x3 matrix, by cofactors on Python scalars."""
+    (a, b, c), (d, e, f), (g, h, i) = q.tolist()
+    adj = [[e * i - f * h, c * h - b * i, b * f - c * e],
+           [f * g - d * i, a * i - c * g, c * d - a * f],
+           [d * h - e * g, b * g - a * h, a * e - b * d]]
+    return np.array(adj), a * adj[0][0] + b * adj[1][0] + c * adj[2][0]
 
 
 def coherences_steady(params: MediumParams, fields: FieldPair) -> CoherenceState:
-    """Steady-state coherences driven by a frozen probe/signal pair.
+    """Steady-state coherences driven by a frozen probe/signal pair, any gamma21 >= 0.
 
-    Valid for gamma21 = 0 (the dark-state coherence rho21 then has no decay
-    of its own and the closed form below applies).  The denominator d never
-    vanishes: Im d = -|Omega|^2, and MediumParams rejects |Omega|^2 = 0.
+    The stationary point x = -adj(A) b / det A of dx/dt = A x + b, with
+    b = (i/2)(Omega_s, Omega_p, 0).
     """
-    _require_undephased(params)
-    oc, od = params.omega_c, params.omega_d
-    d = -(1j * abs(od) ** 2 + (2.0 * params.delta + 1j) * abs(oc) ** 2)
-    op, os_ = fields.omega_p, fields.omega_s
-    rho21 = (op * np.conj(oc) * (2.0 * params.delta + 1j) + os_ * np.conj(od) * 1j) / d
-    rho31 = (op * abs(od) ** 2 - os_ * oc * np.conj(od)) / d
-    rho41 = (os_ * abs(oc) ** 2 - op * np.conj(oc) * od) / d
+    adj, det = _adjugate(_obe_matrix(params.delta, params.gamma21, params.omega_c, params.omega_d))
+    rho41, rho31, rho21 = adj[:, :2] @ [fields.omega_s, fields.omega_p] * (-0.5j / det)
     return CoherenceState(rho21=rho21, rho31=rho31, rho41=rho41)
 
 
@@ -160,24 +174,23 @@ def balanced_components(alpha: float, delta):
 def transfer_matrix(params: MediumParams, depth):
     """Steady CW map H: (Omega_p, Omega_s) at `depth` = H @ (Omega_p, Omega_s) at 0.
 
-    Holds for any gamma21 >= 0.  The adiabatic fields obey d/dzeta = G = -M/(2N),
-    with u = 1 - 2i*delta, N = |Omega_d|^2 + u*(|Omega_c|^2 + gamma21) (Re N >=
-    |Omega|^2 > 0) and M = [[|Omega_d|^2 + u*gamma21, -Omega_c*conj(Omega_d)],
-    [-Omega_d*conj(Omega_c), |Omega_c|^2 + gamma21]], whose determinant is gamma21*N.
-    With Z = depth*G, tau = tr(Z)/2 and s^2 = tau^2 - det(Z), H = e^tau*[cosh(s)*I +
-    sinh(s)/s*(Z - tau*I)], summed from e^(tau +- s) so nothing overflows; below
-    |s| = 1, sinh(s)/s is taken directly (1 at s = 0, where the eigenvalues
-    coincide).  Broadcasts over `depth`, H in the last two axes; depth 0 gives I.
+    Holds for any gamma21 >= 0.  The fields obey d/dzeta = G, with G = A^-1/4 on
+    its (rho41, rho31) block in (probe, signal) order and, by Jacobi's identity,
+    det G = A[2, 2]/(16 det A) (exactly 0 at gamma21 = 0).  With Z = depth*G,
+    tau = tr(Z)/2, s^2 = tau^2 - det(Z): H = e^tau*[cosh(s)*I + sinh(s)/s*(Z -
+    tau*I)], summed from e^(tau +- s) so nothing overflows; below |s| = 1,
+    sinh(s)/s is taken directly (1 at s = 0, where the eigenvalues coincide).
+    Broadcasts over `depth`, H in the last two axes; depth 0 gives I.  A
+    negative or non-finite depth raises ValueError.
     """
-    oc, od, gamma21 = params.omega_c, params.omega_d, params.gamma21
-    oc2, od2 = abs(oc) ** 2, abs(od) ** 2
-    u = 1.0 - 2j * params.delta
-    n = od2 + u * (oc2 + gamma21)
-    m = np.array([[od2 + u * gamma21, -oc * np.conj(od)], [-od * np.conj(oc), oc2 + gamma21]])
     depth = np.asarray(depth, dtype=float)
-    z = np.multiply.outer(depth, m / (-2.0 * n))
+    if not (np.isfinite(depth) & (depth >= 0.0)).all():
+        raise ValueError(f"depth must be finite and >= 0, got {depth}")
+    a = _obe_matrix(params.delta, params.gamma21, params.omega_c, params.omega_d)
+    adj, det = _adjugate(a)
+    z = np.multiply.outer(depth, adj[1::-1, 1::-1] / (4.0 * det))
     tau = 0.5 * (z[..., 0, 0] + z[..., 1, 1])
-    s = np.sqrt(tau * tau - depth * depth * gamma21 / (4.0 * n))
+    s = np.sqrt(tau * tau - depth * depth * a[2, 2] / (16.0 * det))
     grow, fall = np.exp(tau + s), np.exp(tau - s)
     near = np.abs(s) < 1.0
     small, large = np.where(near, s, 0.0), np.where(near, 1.0, s)

@@ -164,8 +164,9 @@ def test_propagator_update_zero_fixed_point():
     assert np.all(out == 0.0)
 
 
-def test_propagator_update_relaxes_to_steady_state():
-    params = MediumParams(alpha=10.0, delta=0.3)
+@pytest.mark.parametrize("gamma21", [0.0, 0.1])
+def test_propagator_update_relaxes_to_steady_state(gamma21):
+    params = MediumParams(alpha=10.0, delta=0.3, gamma21=gamma21)
     fields = FieldPair(0.01, 0.005j)
     x = np.zeros(3, dtype=complex)
     # the dark-state transient at |omega_c| = |omega_d| = 1 decays at

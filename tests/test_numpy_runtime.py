@@ -27,7 +27,8 @@ from dleit.core import (
     detuning_grid,
     refine_maxima,
 )
-from dleit.dynamics import _expm, _obe_matrix, _trapezoid, amplification_sweep, peak_transmission
+from dleit.dynamics import _expm, _trapezoid, amplification_sweep, peak_transmission
+from dleit.steady_state import _obe_matrix
 
 SRC = Path(dleit.__file__).resolve().parents[1]
 

@@ -4,6 +4,10 @@ The coherence closed form is checked against a direct linear solve of the
 stationary Bloch system; the propagation closed form is checked against a
 Runge-Kutta integration of the field ODEs.  Both oracles are built here
 from the governing equations, sharing no code with the implementations.
+The Bloch matrix is written here a second time (`bloch_matrix`) and the
+transfer matrix is also checked against the hand-eliminated generator
+-M/(2N), so these checks test the source's OBE matrix itself, not only the
+algebra built on it.
 """
 
 import numpy as np
@@ -14,7 +18,7 @@ from scipy.linalg import expm
 
 from dleit.apm import apm_contrast
 from dleit.core import FieldPair, MediumParams, wrap_signed
-from dleit.dynamics import _obe_matrix, optimal_relative_phase, peak_transmission, steady_cw_output
+from dleit.dynamics import optimal_relative_phase, peak_transmission, steady_cw_output
 from dleit.phase_jump import solve_jump
 from dleit.steady_state import (
     CoherenceState,
@@ -34,9 +38,9 @@ from dleit.steady_state import (
 )
 
 
-def oracle_coherences(params: MediumParams, fields: FieldPair) -> np.ndarray:
-    """Stationary point of the Bloch ODE system by direct linear solve."""
-    matrix = np.array(
+def bloch_matrix(params: MediumParams) -> np.ndarray:
+    """Homogeneous matrix of the coherence ODE in (rho41, rho31, rho21) order."""
+    return np.array(
         [
             [1j * params.delta - 0.5, 0.0, 0.5j * params.omega_d],
             [0.0, -0.5, 0.5j * params.omega_c],
@@ -48,6 +52,11 @@ def oracle_coherences(params: MediumParams, fields: FieldPair) -> np.ndarray:
         ],
         dtype=complex,
     )
+
+
+def oracle_coherences(params: MediumParams, fields: FieldPair) -> np.ndarray:
+    """Stationary point of the Bloch ODE system by direct linear solve."""
+    matrix = bloch_matrix(params)
     source = 0.5j * np.array([fields.omega_s, fields.omega_p, 0.0], dtype=complex)
     return np.linalg.solve(matrix, -source)
 
@@ -104,10 +113,11 @@ def test_coherences_antisymmetric_example():
 
 def test_coherences_match_linear_solve_oracle():
     rng = np.random.default_rng(42)
-    for _ in range(50):
+    for k in range(100):
         params = MediumParams(
             alpha=10.0,
             delta=rng.uniform(-30, 30),
+            gamma21=0.0 if k < 50 else 0.5 * (1.0 - rng.uniform()),
             omega_c=rng.uniform(0.2, 3) * np.exp(1j * rng.uniform(0, 2 * np.pi)),
             omega_d=rng.uniform(0.2, 3) * np.exp(1j * rng.uniform(0, 2 * np.pi)),
         )
@@ -119,12 +129,6 @@ def test_coherences_match_linear_solve_oracle():
         expected = oracle_coherences(params, fields)
         got = state.as_array()
         assert np.max(np.abs(got - expected)) < 1e-14
-
-
-def test_coherences_reject_gamma21():
-    params = MediumParams(alpha=10.0, gamma21=0.1)
-    with pytest.raises(ValueError, match="dynamics"):
-        coherences_steady(params, FieldPair(0.01, 0.01))
 
 
 def test_coherence_state_sanity_bound():
@@ -253,7 +257,6 @@ def test_closed_forms_share_one_dephasing_guard():
     params = MediumParams(alpha=10.0, gamma21=0.05)
     messages = set()
     for call in (
-        lambda: coherences_steady(params, FieldPair(0.01, 0.0)),
         lambda: propagate_balanced(1.0, params, 5.0),
         lambda: trace_curve(1.0, params),
     ):
@@ -291,19 +294,34 @@ def test_propagate_general_matches_ode_oracle():
 
 def oracle_transfer(params: MediumParams, depth: float) -> np.ndarray:
     """scipy's expm of depth*G with the adiabatic generator G = 1/4*C*A^-1*B."""
-    hom = _obe_matrix(params.delta, params.gamma21, params.omega_c, params.omega_d)
     b_map = np.array([[0.0, 1.0], [1.0, 0.0], [0.0, 0.0]], dtype=complex)
     c_map = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]], dtype=complex)
-    return expm(depth * 0.25 * c_map @ np.linalg.solve(hom, b_map))
+    return expm(depth * 0.25 * c_map @ np.linalg.solve(bloch_matrix(params), b_map))
+
+
+def oracle_transfer_hand(params: MediumParams, depth: float) -> np.ndarray:
+    """scipy's expm of depth*G with the hand-eliminated generator G = -M/(2N).
+
+    u = 1 - 2i*delta, N = |Omega_d|^2 + u*(|Omega_c|^2 + gamma21) and
+    M = [[|Omega_d|^2 + u*gamma21, -Omega_c*conj(Omega_d)],
+    [-Omega_d*conj(Omega_c), |Omega_c|^2 + gamma21]].
+    """
+    oc, od, gamma21 = params.omega_c, params.omega_d, params.gamma21
+    oc2, od2 = abs(oc) ** 2, abs(od) ** 2
+    u = 1.0 - 2j * params.delta
+    n = od2 + u * (oc2 + gamma21)
+    m = np.array([[od2 + u * gamma21, -oc * np.conj(od)], [-od * np.conj(oc), oc2 + gamma21]])
+    return expm(depth * m / (-2.0 * n))
 
 
 def assert_transfer_matches_oracle(params: MediumParams, depths: np.ndarray) -> None:
-    """Every H of one broadcast call within 1e-12*max(1, |H|) of scipy's expm."""
+    """Every H of one broadcast call within 1e-12*max(1, |H|) of both scipy oracles."""
     h = transfer_matrix(params, depths)
     assert h.shape == depths.shape + (2, 2)
     for depth, one in zip(depths, h):
-        reference = oracle_transfer(params, depth)
-        assert np.abs(one - reference).max() <= 1e-12 * max(1.0, np.abs(one).max())
+        for oracle in (oracle_transfer, oracle_transfer_hand):
+            reference = oracle(params, depth)
+            assert np.abs(one - reference).max() <= 1e-12 * max(1.0, np.abs(one).max())
 
 
 @settings(max_examples=150, deadline=None)
@@ -353,6 +371,16 @@ def test_transfer_matrix_special_points():
     expected = oracle_transfer(params, 30.0) @ boundary
     assert abs(out.omega_p - expected[0]) < 1e-12 * 1e-3
     assert abs(out.omega_s - expected[1]) < 1e-12 * 1e-3
+
+
+@pytest.mark.parametrize("bad", [-5.0, np.nan, np.inf])
+def test_transfer_matrix_rejects_negative_or_non_finite_depth(bad):
+    # A negative depth would return a gain matrix and NaN a NaN one; one bad
+    # entry of a depth array is enough.
+    params = MediumParams(alpha=10.0, delta=2.0, gamma21=0.1)
+    for depth in (bad, np.array([1.0, bad, 3.0])):
+        with pytest.raises(ValueError, match="depth"):
+            transfer_matrix(params, depth)
 
 
 def test_propagate_balanced_trivial_phases():
