@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings, strategies as st
+from hypothesis import assume, event, example, given, settings, strategies as st
 from scipy.integrate import cumulative_trapezoid
 
 from dleit import dynamics
@@ -19,6 +19,8 @@ from dleit.core import (
     detuning_grid,
 )
 from dleit.dynamics import (
+    FIELD_BLOWUP_FACTOR,
+    INSTABILITY_CHECK_STRIDE,
     PULSE_KINDS,
     SPECTRAL_TAIL_BOUND,
     AmplificationResult,
@@ -528,11 +530,9 @@ def test_spectral_route_answers_settled_runs(kind, params, caplog):
     assert_twin_agrees(res, stepper_run(params, probe, signal, grid), grid.t_final)
 
 
-def test_guard_samples_exactly_where_its_bound_fails(caplog, monkeypatch):
-    # At amplitude 0.8 the mean-|DFT| bound on |rho| exceeds 1 at every
-    # checked grid point, so each point's coherences are inverse-transformed
-    # and checked sample by sample; they stay below 1, and the twin answers.
-    caplog.set_level(logging.DEBUG, logger="dleit")
+@pytest.fixture
+def ifft_shapes(monkeypatch):
+    """The shapes of the arrays that np.fft.ifft transforms during the test."""
     shapes = []
     ifft = np.fft.ifft
 
@@ -541,12 +541,123 @@ def test_guard_samples_exactly_where_its_bound_fails(caplog, monkeypatch):
         return ifft(a, *args, **kwargs)
 
     monkeypatch.setattr(np.fft, "ifft", spy)
+    return shapes
+
+
+def test_guard_samples_exactly_where_its_bound_fails(caplog, ifft_shapes):
+    # At amplitude 0.8 the mean-|DFT| bound on |rho| exceeds 1 at every
+    # checked grid point, so each point's coherences are inverse-transformed
+    # and checked sample by sample; they stay below 1, and the twin answers.
+    caplog.set_level(logging.DEBUG, logger="dleit")
     params, pulse = MediumParams(alpha=5.0), PulseShape.cw(0.8)
     grid = SimGrid(n_z=32, dt=0.05, t_final=60.0)
     res = simulate(params, pulse, pulse, grid)
     assert debug_routes(caplog) == ["simulate: spectral route"]
-    assert shapes.count((3, 4096)) == 3  # grid points 0, 25 and 31
+    assert ifft_shapes.count((3, 4096)) == 3  # grid points 0, 25 and 31
     assert_twin_agrees(res, stepper_run(params, pulse, pulse, grid), grid.t_final)
+
+
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+       log_size=st.integers(min_value=3, max_value=10),
+       sparsity=st.floats(min_value=0.0, max_value=0.95))
+@settings(max_examples=60, deadline=None)
+def test_guard_bounds_dominate_every_sample(seed, log_size, sparsity):
+    # For any resolvent rows R and spectra F, sparse and spanning six decades:
+    # the coherence bound is at least each row's mean |R_i F| (the per-row
+    # bound it replaced) and so at least every |IFFT| sample of R F; the field
+    # bound is at least every sample of F.  One closure serves two spectra,
+    # as it serves successive grid points.
+    rng = np.random.default_rng(seed)
+    size = 1 << log_size
+
+    def draw(shape):
+        z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        return z * (rng.random(shape) >= sparsity) * 10.0 ** rng.uniform(-3.0, 3.0, shape)
+
+    resolvent = draw((3, 2, size))
+    bounds = dynamics._guard_bounds(resolvent)
+    for fields in (draw((2, size)), draw((2, size))):
+        rho_bound, field_bound = bounds(fields)
+        coherences = resolvent[:, 0] * fields[0] + resolvent[:, 1] * fields[1]
+        slack = 1.0 + 1e-12
+        assert np.abs(coherences).sum(axis=1).max() / size <= rho_bound * slack
+        assert np.abs(np.fft.ifft(coherences)).max() <= rho_bound * slack
+        assert np.abs(np.fft.ifft(fields)).max() <= field_bound * slack
+
+
+def test_weak_fields_pass_the_guard_without_sampling(caplog, ifft_shapes):
+    # A weak square pair at n_z = 800: every checked grid point passes on its
+    # bounds, so the only inverse transforms are the certificate's and the
+    # outputs', and no (3, L) coherence transform runs.
+    caplog.set_level(logging.DEBUG, logger="dleit")
+    params = MediumParams(alpha=18.0, delta=2.0, gamma21=0.05, omega_d=np.exp(1j))
+    pulse = PulseShape.square(AMP, 10.0, 210.0)
+    simulate(params, pulse, pulse, SimGrid(n_z=800, dt=0.1, t_final=300.0))
+    assert debug_routes(caplog) == ["simulate: spectral route"]
+    assert ifft_shapes == [(2, 2, 8192), (2, 8192)]
+
+
+@given(
+    kind=st.sampled_from(PULSE_KINDS),
+    alpha=st.floats(min_value=1.0, max_value=10.0),
+    delta=st.floats(min_value=-5.0, max_value=5.0),
+    omega_c=st.floats(min_value=1.0, max_value=2.0),
+    omega_d=st.floats(min_value=1.0, max_value=2.0),
+    phi_r=st.floats(min_value=0.0, max_value=2.0 * math.pi),
+    probe_amp=st.floats(min_value=0.05, max_value=1.5),
+    signal_amp=st.floats(min_value=0.05, max_value=1.5),
+    n_z=st.integers(min_value=16, max_value=80),
+)
+# One draw per outcome: the twin answers after sampling, the guard falls back
+# to a stepper that completes, and the stepper aborts.
+@example(kind="cw", alpha=7.82, delta=-0.79, omega_c=1.26, omega_d=1.51, phi_r=2.54,
+         probe_amp=1.19, signal_amp=0.49, n_z=77)
+@example(kind="smoothed_square", alpha=3.61, delta=4.01, omega_c=1.42, omega_d=1.97,
+         phi_r=5.31, probe_amp=1.46, signal_amp=0.93, n_z=45)
+@example(kind="smoothed_square", alpha=9.65, delta=-3.15, omega_c=1.12, omega_d=1.21,
+         phi_r=5.03, probe_amp=1.41, signal_amp=0.08, n_z=70)
+@settings(max_examples=30, deadline=None)
+def test_guard_decides_as_the_stepper_states_at_its_grid_points(
+    kind, alpha, delta, omega_c, omega_d, phi_r, probe_amp, signal_amp, n_z
+):
+    # Amplitudes up to 1.5, where the mean-|DFT| bounds fail and the exact
+    # per-sample checks decide.  Drives of 1-2 settle the response inside the
+    # padding, so the certificate passes and the guard alone picks the route.
+    # The oracle is the stepper's own state at every step (map_stride=1),
+    # read at the guard's grid points: the twin answers exactly when every
+    # one of them stays within the stepper's bounds, and otherwise falls back
+    # at the first that does not.
+    params = MediumParams(alpha=alpha, delta=delta, omega_c=omega_c,
+                          omega_d=omega_d * np.exp(1j * phi_r))
+    probe = pulse_of(kind, probe_amp, 5.0, 30.0)
+    signal = pulse_of(kind, 1j * signal_amp, 5.0, 30.0)
+    grid = SimGrid(n_z=n_z, dt=0.05, t_final=60.0)
+    try:
+        ref = simulate(params, probe, signal, grid, store_maps=True, map_stride=1)
+    except NumericalInstability:
+        event("stepper aborts")
+        with RouteLog() as log, pytest.raises(NumericalInstability, match=r"^aborted at t = "):
+            simulate(params, probe, signal, grid)
+        (message,) = log.messages
+        assert message.startswith("simulate: stepper route (guard at grid point ")
+        return
+    field_bound = FIELD_BLOWUP_FACTOR * max(np.abs(ref.input_probe).max(),
+                                            np.abs(ref.input_signal).max())
+    points = [*range(0, n_z - 1, INSTABILITY_CHECK_STRIDE), n_z - 1]
+    rho = np.abs(ref.coherence_map[:, :, points]).max(axis=(0, 1))
+    fields = np.maximum(np.abs(ref.field_map_probe[:, points]).max(axis=0),
+                        np.abs(ref.field_map_signal[:, points]).max(axis=0))
+    assume(np.all(np.abs(rho - 1.0) > 1e-6) and np.all(np.abs(fields / field_bound - 1.0) > 1e-6))
+    failed = [point for point, r, f in zip(points, rho, fields) if not (r <= 1.0 and f <= field_bound)]
+    with RouteLog() as log:
+        res = simulate(params, probe, signal, grid)
+    if failed:
+        event("guard falls back")
+        assert log.messages == [f"simulate: stepper route (guard at grid point {failed[0]})"]
+        assert_bit_identical(res, stepper_run(params, probe, signal, grid))
+    else:
+        event("spectral route")
+        assert log.messages == ["simulate: spectral route"]
 
 
 def test_stored_maps_keep_the_stepper_route(caplog):
