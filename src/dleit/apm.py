@@ -4,11 +4,11 @@ In the balanced configuration the terminal probe ratio traces a circle in
 the complex plane as the loop phase phi_r is scanned.  Pinning the terminal
 ratio to the negative real axis imprints a pi output phase on the probe;
 pinning it to the negative imaginary axis imprints -pi/2.  This module
-computes the loop phases that realize those conditions in closed form, as
-the points where the circle meets the target ray, for a whole depth x
-detuning grid at once; optimizes the detuning of every depth for maximal
-probe transmission subject to them; and quantifies the modulation contrast
-against the signal-off configuration.
+computes the loop phase that realizes those conditions in closed form, as
+the one intersection of the circle with the target ray's line that can lie
+on the ray, for a whole depth x detuning grid at once; optimizes the
+detuning of every depth for maximal probe transmission subject to them; and
+quantifies the modulation contrast against the signal-off configuration.
 """
 
 from __future__ import annotations
@@ -92,20 +92,21 @@ def _reduce_roots(roots: np.ndarray) -> np.ndarray:
 
 
 def _ray_solutions(alpha, deltas: np.ndarray, target_shift: str) -> tuple[np.ndarray, np.ndarray]:
-    """Loop phases pinning the terminal probe ratio to the target ray, per detuning.
+    """Loop phase pinning the terminal probe ratio to the target ray, per detuning.
 
     Turned by exp(-i*theta), where exp(i*theta) is the target's ray in
     _TARGET_RAYS, the ratio c + r*exp(-i*phi_r) becomes
     w = c_t + r_t*exp(-i*phi_r), and the target reads Im w = 0, Re w > 0.
-    Im w = 0 is sin(phi_r - arg r_t) = Im c_t/|r|, met at
-    phi_r = arg r_t + arcsin(Im c_t/|r|) and arg r_t + pi - arcsin(Im c_t/|r|)
-    when |Im c_t| <= |r|.  A root is feasible when it lands on the ray
-    (Re w > 0) with |Im w| <= AXIS_TOL; of two feasible roots the one with
-    the larger transmission |ratio|^2 is kept.  Returns (phi_r in [0, 2*pi),
-    transmission), both NaN wherever the target is infeasible.  A depth
-    array broadcasts against `deltas`: a column of depths scans the whole
-    depth x detuning grid in one expression.  The roots lie in
-    [-3*pi/2, 5*pi/2], so one shift by 2*pi reduces them as np.mod does, bit
+    When |Im c_t| <= |r| the circle meets the line Im w = 0 twice, at
+    Re w = Re c_t +- sqrt(|r|^2 - (Im c_t)^2).  The "-" point is on the ray
+    only if the "+" point is, and then transmits |Re w|^2 no more than it,
+    so only the "+" root phi_r = arg r_t + arcsin(Im c_t/|r|) is solved.
+    It is feasible when it lands on the ray (Re w > 0) with
+    |Im w| <= AXIS_TOL.  Returns (phi_r in [0, 2*pi), transmission
+    |ratio|^2), both NaN wherever the target is infeasible.  A depth array
+    broadcasts against `deltas`: a column of depths scans the whole
+    depth x detuning grid in one expression.  The root lies in
+    [-3*pi/2, 3*pi/2], so one shift by 2*pi reduces it as np.mod does, bit
     for bit: below 0 np.mod adds 2*pi to the angle itself, and from 2*pi up
     its fmod is the subtraction, exact by Sterbenz's lemma.  The shift skips
     np.mod's slow remainder on the NaN roots of circles that miss the ray.
@@ -118,22 +119,16 @@ def _ray_solutions(alpha, deltas: np.ndarray, target_shift: str) -> tuple[np.nda
     center, radius = _mode_weights(_decay_kernel(alpha, deltas))
     turn = np.conj(_TARGET_RAYS[target_shift][0])
     # A circle that misses the line (|sin| > 1) or has shrunk to a point
-    # yields NaN roots, which fail every feasibility test below.
+    # yields a NaN root, which fails the feasibility test below.
     with np.errstate(divide="ignore", invalid="ignore"):
         offset = np.arcsin((center * turn).imag / np.abs(radius))
-        base = np.angle(radius * turn)
-        roots = _reduce_roots(np.stack((base + offset, base + np.pi - offset)))
+        root = _reduce_roots(np.angle(radius * turn) + offset)
         # A tiny negative angle plus 2*pi rounds to exactly 2*pi.
-        roots[roots == TWO_PI] = 0.0
-        ratios = center + radius * np.exp(-1j * roots)
-        pinned = ratios * turn
+        root[root == TWO_PI] = 0.0
+        ratio = center + radius * np.exp(-1j * root)
+        pinned = ratio * turn
         feasible = (pinned.real > 0.0) & (np.abs(pinned.imag) <= AXIS_TOL)
-        transmission = np.where(feasible, np.abs(ratios) ** 2, np.nan)
-        # The second root wins when only it is feasible or it transmits more.
-        second = feasible[1] & ~(transmission[0] >= transmission[1])
-    best = np.where(second, transmission[1], transmission[0])
-    phi = np.where(np.isnan(best), np.nan, np.where(second, roots[1], roots[0]))
-    return phi, best
+    return np.where(feasible, root, np.nan), np.where(feasible, np.abs(ratio) ** 2, np.nan)
 
 
 def _pinned_phase(alpha: float, delta: float, target_shift: str) -> tuple[float, float]:
@@ -171,10 +166,10 @@ def phi_r_for_half_pi_shift(alpha: float, delta: float) -> float:
     """Loop phase placing the terminal probe ratio on the negative imaginary axis.
 
     The closed-form ray solution for theta = -pi/2, i.e.
-    phi_r = arg r +- arccos(-Re c/|r|), keeping the root with Im[ratio] < 0
-    and the highest transmission (see `_ray_solutions`).  Raises ValueError
-    for a non-finite or non-positive depth or a non-finite detuning, and
-    InfeasibleError where the ratio circle does not reach the axis.
+    phi_r = arg r + arccos(-Re c/|r|), the one root that can put the ratio
+    on the axis (see `_ray_solutions`).  Raises ValueError for a non-finite
+    or non-positive depth or a non-finite detuning, and InfeasibleError
+    where the ratio circle does not reach the axis.
     """
     return _pinned_phase(alpha, delta, "half_pi")[0]
 

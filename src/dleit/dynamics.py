@@ -364,17 +364,6 @@ def _trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     return pair.sum(axis=-1)
 
 
-def _energy(series: np.ndarray, times: np.ndarray) -> float:
-    return float(_trapezoid(np.abs(series) ** 2, times))
-
-
-def _centroid(series: np.ndarray, times: np.ndarray) -> float:
-    energy = _energy(series, times)
-    if energy <= 0.0:
-        return math.nan
-    return float(_trapezoid(times * np.abs(series) ** 2, times)) / energy
-
-
 @functools.lru_cache(maxsize=4)
 def _unit_circle(size: int) -> np.ndarray:
     """u = z - 1 at z_m = exp(2 pi i m / size), numpy's FFT sign, in a form
@@ -648,7 +637,7 @@ def simulate(
             step, source, zeta, times, edges, field_bound, store_maps, map_stride
         )
     output_signal, output_probe = outputs
-    # _energy and _centroid of all four waveforms, each a trapezoid over the
+    # Energy and centroid of all four waveforms, each a trapezoid over the
     # stack, squared and time-weighted in place.
     power = np.abs(np.stack((input_probe, input_signal, output_probe, output_signal)))
     power *= power

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq
 
 from dleit.apm import (
+    AXIS_TOL,
     ApmOperatingPoint,
     InfeasibleError,
     apm_contrast,
@@ -15,6 +16,7 @@ from dleit.apm import (
     phi_r_for_half_pi_shift,
     phi_r_for_pi_shift,
     scan_local_maxima,
+    _TARGET_RAYS,
     _pinned_phase,
     _ray_solutions,
     _reduce_roots,
@@ -29,7 +31,14 @@ from dleit.core import (
 )
 from dleit.dynamics import _peak_transmission, amplification_sweep, peak_transmission
 from dleit.phase_jump import critical_depth, jump_phase_probe
-from dleit.steady_state import ZeroFieldError, balanced_components, balanced_ratios, decay_factor
+from dleit.steady_state import (
+    ZeroFieldError,
+    _decay_kernel,
+    _mode_weights,
+    balanced_components,
+    balanced_ratios,
+    decay_factor,
+)
 
 alphas = st.floats(min_value=0.5, max_value=150.0)
 detunings = st.floats(min_value=0.2, max_value=60.0)
@@ -310,7 +319,8 @@ def test_closed_form_roots_match_bracketed_oracle(alpha, delta, target):
 def test_half_pi_finds_near_tangent_root_pair(alpha, delta):
     # Just inside a band edge the circle grazes the axis and both roots sit
     # inside one bracket of a 64-bracket sign-change search, which misses
-    # them; the closed form and a 4096-bracket search find the pair.
+    # them; a 4096-bracket search finds the pair, and the closed form its
+    # winner.
     assert bracketed_root(alpha, delta, "half_pi", n_brackets=64) is None
     phi = phi_r_for_half_pi_shift(alpha, delta)
     oracle = bracketed_root(alpha, delta, "half_pi", n_brackets=4096)
@@ -333,6 +343,50 @@ def test_vectorized_scan_matches_scalar_solver(alpha, target):
             continue
         assert abs(wrap_signed(single - phi)) <= 1e-12
         assert abs(abs(balanced_ratios(alpha, delta, single)[0]) ** 2 - t) <= 1e-12
+
+
+def two_root_reference(alpha, deltas, target_shift):
+    """Both intersections of the ratio circle with the target ray's line,
+    each checked for the ray, the one with the larger transmission kept.
+    Returns (phi_r, transmission) as `_ray_solutions` does.
+    """
+    center, radius = _mode_weights(_decay_kernel(alpha, deltas))
+    turn = np.conj(_TARGET_RAYS[target_shift][0])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        offset = np.arcsin((center * turn).imag / np.abs(radius))
+        base = np.angle(radius * turn)
+        roots = _reduce_roots(np.stack((base + offset, base + np.pi - offset)))
+        roots[roots == TWO_PI] = 0.0
+        ratios = center + radius * np.exp(-1j * roots)
+        pinned = ratios * turn
+        feasible = (pinned.real > 0.0) & (np.abs(pinned.imag) <= AXIS_TOL)
+        transmission = np.where(feasible, np.abs(ratios) ** 2, np.nan)
+        second = feasible[1] & ~(transmission[0] >= transmission[1])
+    best = np.where(second, transmission[1], transmission[0])
+    phi = np.where(np.isnan(best), np.nan, np.where(second, roots[1], roots[0]))
+    return phi, best
+
+
+@given(
+    pairs=st.lists(
+        st.tuples(st.floats(0.01, 500.0), st.floats(-80.0, 80.0)), min_size=1, max_size=256
+    ),
+    target=targets,
+)
+@settings(max_examples=200, deadline=None)
+def test_one_root_matches_two_root_reference(pairs, target):
+    # The "-" intersection sits at Re w = Re c_t - sqrt(...), never beyond
+    # the "+" one, so it can never be feasible alone or transmit more; only
+    # rounding near an extinguished output could ever select it.
+    depths, deltas = (np.array(column) for column in zip(*pairs))
+    phi, transmission = _ray_solutions(depths, deltas, target)
+    ref_phi, ref_transmission = two_root_reference(depths, deltas, target)
+    assert np.array_equal(np.isnan(transmission), np.isnan(ref_transmission))
+    assert np.array_equal(np.isnan(phi), np.isnan(ref_phi))
+    feasible = ~np.isnan(ref_transmission)
+    assert (np.abs(transmission[feasible] - ref_transmission[feasible]) <= 1e-15).all()
+    bright = ref_transmission > 1e-12
+    assert np.array_equal(phi[bright], ref_phi[bright])
 
 
 root_edges = st.sampled_from(

@@ -27,10 +27,9 @@ from dleit.dynamics import (
     NumericalInstability,
     PulseShape,
     SimGrid,
-    _centroid,
-    _energy,
     _field_rebuilds,
     _propagators,
+    _trapezoid,
     amplification_sweep,
     optimal_relative_phase,
     optimize_amplification,
@@ -369,6 +368,19 @@ def plain_fused_loop(params, probe_pulse, signal_pulse, grid, map_stride):
             steps.append(k)
             states.append(cur.copy())
     return np.array(outputs).T, np.array(steps), np.array(states)
+
+
+def _energy(series: np.ndarray, times: np.ndarray) -> float:
+    """Energy of one waveform, the oracle of `simulate`'s stacked trapezoids."""
+    return float(_trapezoid(np.abs(series) ** 2, times))
+
+
+def _centroid(series: np.ndarray, times: np.ndarray) -> float:
+    """Center of energy of one waveform, NaN when it carries none."""
+    energy = _energy(series, times)
+    if energy <= 0.0:
+        return math.nan
+    return float(_trapezoid(times * np.abs(series) ** 2, times)) / energy
 
 
 @pytest.mark.parametrize("map_stride", [1, 7])
