@@ -87,8 +87,8 @@ class ApmOperatingPoint:
 
 
 def _reduce_roots(roots: np.ndarray) -> np.ndarray:
-    """np.mod(roots, TWO_PI) bit for bit, for roots in (-2*pi, 4*pi) or NaN."""
-    return roots + (np.where(roots < 0.0, TWO_PI, -TWO_PI * (roots >= TWO_PI)) + 0.0)
+    """np.mod(roots, TWO_PI) bit for bit, for roots in (-2*pi, 2*pi) or NaN."""
+    return roots + np.where(roots < 0.0, TWO_PI, 0.0)
 
 
 def _ray_solutions(alpha, deltas: np.ndarray, target_shift: str) -> tuple[np.ndarray, np.ndarray]:
@@ -106,10 +106,9 @@ def _ray_solutions(alpha, deltas: np.ndarray, target_shift: str) -> tuple[np.nda
     |ratio|^2), both NaN wherever the target is infeasible.  A depth array
     broadcasts against `deltas`: a column of depths scans the whole
     depth x detuning grid in one expression.  The root lies in
-    [-3*pi/2, 3*pi/2], so one shift by 2*pi reduces it as np.mod does, bit
-    for bit: below 0 np.mod adds 2*pi to the angle itself, and from 2*pi up
-    its fmod is the subtraction, exact by Sterbenz's lemma.  The shift skips
-    np.mod's slow remainder on the NaN roots of circles that miss the ray.
+    [-3*pi/2, 3*pi/2], so adding 2*pi below 0 reduces it as np.mod does,
+    bit for bit, and skips np.mod's slow remainder on the NaN roots of
+    circles that miss the ray.
 
     Nothing is validated here: this is the golden loop's objective, and its
     callers (`_pinned_phase`, `_band_maxima` and the sweep built on it) have
@@ -211,10 +210,7 @@ def _operating_point(alpha, delta, target_shift, phi: float, t_with: float) -> A
         t_without, phase_without = transmission_and_phase(ratio_without)
     except ZeroFieldError:
         t_without, phase_without = abs(ratio_without) ** 2, np.nan
-    if np.isnan(phase_with) or np.isnan(phase_without):
-        contrast = np.nan
-    else:
-        contrast = abs(float(wrap_signed(phase_with - phase_without)))
+    contrast = abs(float(wrap_signed(phase_with - phase_without)))
     return ApmOperatingPoint(
         alpha=float(alpha),
         delta=float(delta),
@@ -288,11 +284,13 @@ def scan_local_maxima(
     The one-depth case of the scan behind `optimize_detuning_sweep`: every
     band's local maxima (band edges included), those strictly inside the
     feasible region golden-refined.  Points are returned in increasing
-    detuning order.  Raises InfeasibleError when the whole range is
-    infeasible.
+    detuning order, each built from one ray solution over all band maxima.
+    Raises InfeasibleError when the whole range is infeasible.
     """
     _, deltas = _band_maxima([alpha], target_shift, delta_range, tol, scan_step)
-    return [operating_point(alpha, delta, target_shift) for delta in deltas.tolist()]
+    phi, transmission = _ray_solutions(alpha, deltas, target_shift)
+    points = zip(deltas.tolist(), phi.tolist(), transmission.tolist())
+    return [_operating_point(alpha, d, target_shift, p, t) for d, p, t in points]
 
 
 def optimize_detuning_sweep(

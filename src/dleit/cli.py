@@ -229,8 +229,10 @@ def _inject_config(argv: list[str]) -> list[str]:
 def cmd_steady(args) -> tuple[list[str], list[list[float]], dict]:
     params = MediumParams(alpha=args.alpha, delta=args.delta)
     phis = np.array(args.phi_r_sweep if args.phi_r_sweep is not None else [args.phi_r])
-    if args.samples < 2 or not np.isfinite(phis).all():
-        raise ValueError(f"need samples >= 2 and finite phi_r, got {args.samples}, {args.phi_r}")
+    if args.samples < 2:
+        raise ValueError(f"samples must be >= 2, got {args.samples}")
+    if not math.isfinite(args.phi_r):  # a sweep's parser has checked its values
+        raise ValueError(f"phi_r must be finite, got {args.phi_r}")
     ends = np.vstack([np.abs(balanced_ratios(params.alpha, params.xi.real, phis)),
                       accumulated_phase(params.alpha, params.xi.real, phis)])
     if params.alpha == 0.0:  # the identity medium, pinned exactly as trace_curve pins zeta = 0

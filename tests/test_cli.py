@@ -142,8 +142,10 @@ def test_steady_single_mode_loop_phases(tmp_path):
 
 
 def test_steady_samples_is_validated_and_echoed(tmp_path, capsys):
-    assert main(["steady", "--alpha", "3", "--samples", "1"]) == 2
-    assert "samples" in capsys.readouterr().err
+    # A sweep's message names its sample count, not the unused --phi-r.
+    for argv in (["--samples", "1"], ["--phi-r-sweep", "0:1:0.5", "--samples", "1"]):
+        assert main(["steady", "--alpha", "3", *argv]) == 2
+        assert capsys.readouterr().err == "error: samples must be >= 2, got 1\n"
     few = run_csv(tmp_path, "few.csv", ["steady", "--alpha", "3", "--delta", "0.5", "--phi-r", "0.3", "--samples", "16"])
     many = run_csv(tmp_path, "many.csv", ["steady", "--alpha", "3", "--delta", "0.5", "--phi-r", "0.3"])
     assert "# samples = 16" in few.splitlines()
@@ -216,16 +218,18 @@ def test_phase_diagram_single_and_multi(tmp_path):
 def test_jump_verify_locates_zero(tmp_path):
     text = run_csv(
         tmp_path, "jump.csv",
-        ["jump", "--delta", "16.5", "10", "--verify"],
+        ["jump", "--delta", "16.5", "10", "-16.5", "--verify"],
     )
     _, columns, rows = parse_csv(text)
     assert columns == ["delta", "critical_depth", "probe_jump_phase",
                        "signal_jump_phase", "zero_zeta", "zero_offset",
                        "grid_step"]
+    assert len(rows) == 3
     for row in rows:
         assert not math.isnan(row[4])
         assert row[5] < row[6]
     assert rows[0][1] == pytest.approx(52.0267, abs=1e-3)
+    assert rows[2][1] == rows[0][1]
 
 
 @pytest.mark.parametrize("samples", [3, 64, 2000])
@@ -278,17 +282,21 @@ def test_jump_sweep_grid(tmp_path):
                        "signal_jump_phase"]
 
 
-def test_apm_command_finds_operating_point(tmp_path):
-    text = run_csv(
-        tmp_path, "apm.csv",
-        ["apm", "--alpha", "100", "--target", "pi", "--scan-step", "0.5"],
-    )
+@pytest.mark.parametrize("argv, window, contrast", [
+    (["--target", "pi", "--scan-step", "0.5"], (16.0, 17.0), 2.6114),
+    # The extinguished sliver band: the pinned output vanishes, so its
+    # phase and the contrast are undefined.
+    (["--target", "pi", "--delta-range", "0.5:1.0"], (0.5, 1.0), math.nan),
+    (["--target", "half_pi", "--delta-range=-60:-0.5"], (-60.0, -0.5), 0.7276),
+], ids=["pi", "pi_sliver_band", "half_pi_negative_detuning"])
+def test_apm_command_finds_operating_point(tmp_path, argv, window, contrast):
+    text = run_csv(tmp_path, "apm.csv", ["apm", "--alpha", "100", *argv])
     _, columns, rows = parse_csv(text)
     assert columns == ["alpha", "delta_opt", "phi_r", "T_with", "T_without",
                        "phase_with", "phase_without", "contrast"]
-    row = rows[0]
-    assert 16.0 < row[1] < 17.0
-    assert row[7] == pytest.approx(2.6114, abs=0.02)
+    (row,) = rows
+    assert window[0] < row[1] < window[1]
+    assert row[7] == pytest.approx(contrast, abs=0.02, nan_ok=True)
 
 
 def table(text):

@@ -7,8 +7,8 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import assume, event, example, given, settings, strategies as st
-from scipy.integrate import cumulative_trapezoid
 
+from conftest import needs_scipy
 from dleit import dynamics
 from dleit.core import (
     DEFAULT_DELTA_RANGE,
@@ -199,6 +199,7 @@ def test_step_fields_rejects_mismatched_zeta_grid():
         step_fields(coherences, FieldPair(0.0, 0.0), np.linspace(0.0, 1.0, 2))
 
 
+@needs_scipy
 @pytest.mark.parametrize(
     "zeta",
     [
@@ -208,6 +209,8 @@ def test_step_fields_rejects_mismatched_zeta_grid():
     ids=["uniform", "non_uniform"],
 )
 def test_step_fields_matches_cumulative_trapezoid(zeta):
+    from scipy.integrate import cumulative_trapezoid
+
     rng = np.random.default_rng(11)
     coherences = rng.normal(size=(3, zeta.size)) + 1j * rng.normal(size=(3, zeta.size))
     boundary = FieldPair(0.3 - 0.2j, 0.1j)
@@ -219,6 +222,7 @@ def test_step_fields_matches_cumulative_trapezoid(zeta):
     assert np.abs(signal - ref_signal).max() <= 1e-15 * scale
 
 
+@needs_scipy
 @pytest.mark.parametrize(
     "zeta",
     [np.linspace(0.0, 7.0, 51), np.cumsum(np.random.default_rng(5).uniform(0.01, 0.4, 51))],
@@ -228,6 +232,8 @@ def test_field_rebuild_never_reads_the_cross_row_slot(zeta):
     # The flat pair add puts one sum across the two driving rows into the
     # scratch's last column, weighted 0; NaN seeded there, or in any other
     # scratch slot the rebuild leaves unwritten, must not reach the fields.
+    from scipy.integrate import cumulative_trapezoid
+
     rng = np.random.default_rng(7)
     state = np.full((5, zeta.size), np.nan, dtype=complex)
     state[:3] = rng.normal(size=(3, zeta.size)) + 1j * rng.normal(size=(3, zeta.size))
@@ -248,6 +254,8 @@ def reference_states(params, probe_pulse, signal_pulse, grid):
     Returns every step's state, shape (n_steps + 1, 5, n_z), with rows
     (rho41, rho31, rho21, signal, probe).
     """
+    from scipy.integrate import cumulative_trapezoid
+
     zeta = grid.zeta(params.alpha)
     times = grid.times()
     step, source = _propagators(
@@ -285,6 +293,7 @@ REFERENCE_CASES = pytest.mark.parametrize(
 )
 
 
+@needs_scipy
 @pytest.mark.parametrize("n_z", [16, 64])
 @REFERENCE_CASES
 def test_simulate_matches_reference_loop(n_z, params, probe, signal):
@@ -300,6 +309,7 @@ def debug_routes(caplog):
     return [r.getMessage() for r in caplog.records if r.name == "dleit.dynamics"]
 
 
+@needs_scipy
 @pytest.mark.parametrize("n_z", [16, 64])
 @REFERENCE_CASES
 def test_spectral_route_matches_reference_loop(n_z, params, probe, signal, caplog):
@@ -315,6 +325,7 @@ def test_spectral_route_matches_reference_loop(n_z, params, probe, signal, caplo
     assert np.abs(res.output_signal - ref[:, 3, -1]).max() <= 1e-11 * AMP
 
 
+@needs_scipy
 @pytest.mark.parametrize("map_stride", [1, 7])
 @REFERENCE_CASES
 def test_simulate_maps_match_reference_loop(map_stride, params, probe, signal):

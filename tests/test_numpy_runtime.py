@@ -14,11 +14,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.integrate import trapezoid
-from scipy.linalg import expm
-from scipy.optimize import minimize_scalar
 
 import dleit
+from conftest import needs_scipy
 from dleit.apm import _band_maxima, _ray_solutions, operating_point, optimize_detuning_sweep
 from dleit.core import (
     DEFAULT_DELTA_RANGE,
@@ -62,6 +60,8 @@ def test_runtime_never_imports_scipy():
 
 def scipy_refine(objective, grid, scanned, k, tol):
     """The former per-maximum refinement: one scipy golden run per candidate."""
+    from scipy.optimize import minimize_scalar
+
     node = float(grid[k])
     if not (0 < k < grid.size - 1 and np.isfinite(scanned[k - 1]) and np.isfinite(scanned[k + 1])):
         return node
@@ -96,6 +96,7 @@ OBJECTIVES = {
 }
 
 
+@needs_scipy
 @pytest.mark.parametrize("name", OBJECTIVES)
 def test_array_golden_loop_matches_scipy_golden(name):
     objective = OBJECTIVES[name]
@@ -147,6 +148,7 @@ def test_array_golden_loop_keeps_row_edges_and_passes_candidate_args():
 SWEEP_DEPTHS = [10.0, 55.5, 100.0, 131.3, 200.0]
 
 
+@needs_scipy
 @pytest.mark.parametrize("target", ["pi", "half_pi"])
 def test_batched_apm_maxima_match_per_depth_scipy_golden(target):
     grid = detuning_grid(DEFAULT_DELTA_RANGE, DEFAULT_SCAN_STEP, DEFAULT_DELTA_TOL)
@@ -178,6 +180,7 @@ def test_batched_apm_maxima_match_per_depth_scipy_golden(target):
         assert abs(point.delta - best.delta) <= 1e-12
 
 
+@needs_scipy
 def test_batched_amplification_matches_per_depth_scipy_golden():
     grid = detuning_grid(DEFAULT_DELTA_RANGE, DEFAULT_SCAN_STEP, DEFAULT_DELTA_TOL)
     results = amplification_sweep([0.0] + SWEEP_DEPTHS)
@@ -207,9 +210,12 @@ def obe_exponents(draw):
     return aug * dt
 
 
+@needs_scipy
 @settings(max_examples=300, deadline=None)
 @given(obe_exponents())
 def test_expm_matches_scipy_on_obe_matrices(exponent):
+    from scipy.linalg import expm
+
     reference = expm(exponent)
     scale = max(1.0, np.abs(reference).max())
     assert np.abs(_expm(exponent) - reference).max() <= 1e-12 * scale
@@ -219,8 +225,11 @@ def test_expm_of_zero_is_identity():
     assert np.array_equal(_expm(np.zeros((6, 6), dtype=complex)), np.eye(6))
 
 
+@needs_scipy
 @given(st.integers(min_value=2, max_value=300), st.integers(min_value=0, max_value=2**32 - 1))
 def test_trapezoid_is_bit_identical_to_scipy(n, seed):
+    from scipy.integrate import trapezoid
+
     rng = np.random.default_rng(seed)
     x = np.sort(rng.uniform(0.0, 100.0, n))
     y = rng.normal(size=n)

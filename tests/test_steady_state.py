@@ -13,9 +13,8 @@ algebra built on it.
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.integrate import solve_ivp
-from scipy.linalg import expm
 
+from conftest import needs_scipy
 from dleit.apm import apm_contrast
 from dleit.core import FieldPair, MediumParams, wrap_signed
 from dleit.dynamics import optimal_relative_phase, peak_transmission, steady_cw_output
@@ -63,6 +62,7 @@ def oracle_coherences(params: MediumParams, fields: FieldPair) -> np.ndarray:
 
 def oracle_propagate(params: MediumParams, incident: FieldPair, zeta: float):
     """Integrate the field ODEs with coherences from the linear-solve oracle."""
+    from scipy.integrate import solve_ivp
 
     def rhs(z, y):
         fields = FieldPair(y[0] + 1j * y[1], y[2] + 1j * y[3])
@@ -271,6 +271,7 @@ def test_balanced_components_sum_to_one():
     assert dark + bright == pytest.approx(1.0, abs=1e-15)
 
 
+@needs_scipy
 def test_propagate_general_matches_ode_oracle():
     rng = np.random.default_rng(3)
     for k in range(10):
@@ -294,6 +295,8 @@ def test_propagate_general_matches_ode_oracle():
 
 def oracle_transfer(params: MediumParams, depth: float) -> np.ndarray:
     """scipy's expm of depth*G with the adiabatic generator G = 1/4*C*A^-1*B."""
+    from scipy.linalg import expm
+
     b_map = np.array([[0.0, 1.0], [1.0, 0.0], [0.0, 0.0]], dtype=complex)
     c_map = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]], dtype=complex)
     return expm(depth * 0.25 * c_map @ np.linalg.solve(bloch_matrix(params), b_map))
@@ -306,6 +309,8 @@ def oracle_transfer_hand(params: MediumParams, depth: float) -> np.ndarray:
     M = [[|Omega_d|^2 + u*gamma21, -Omega_c*conj(Omega_d)],
     [-Omega_d*conj(Omega_c), |Omega_c|^2 + gamma21]].
     """
+    from scipy.linalg import expm
+
     oc, od, gamma21 = params.omega_c, params.omega_d, params.gamma21
     oc2, od2 = abs(oc) ** 2, abs(od) ** 2
     u = 1.0 - 2j * params.delta
@@ -324,6 +329,7 @@ def assert_transfer_matches_oracle(params: MediumParams, depths: np.ndarray) -> 
             assert np.abs(one - reference).max() <= 1e-12 * max(1.0, np.abs(one).max())
 
 
+@needs_scipy
 @settings(max_examples=150, deadline=None)
 @given(
     alpha=st.floats(min_value=0.0, max_value=300.0),
@@ -345,18 +351,27 @@ def test_transfer_matrix_matches_scipy_expm(alpha, delta, gamma21, mag_c, mag_d,
     assert_transfer_matches_oracle(params, np.array([0.3 * alpha, alpha]))
 
 
-def test_transfer_matrix_special_points():
+def test_transfer_matrix_limits():
     # Zero depth is exactly the identity, dephased or not.
     for gamma21 in (0.0, 0.3):
         params = MediumParams(alpha=50.0, delta=7.0, gamma21=gamma21, omega_c=1.3, omega_d=0.4j)
         assert np.array_equal(transfer_matrix(params, 0.0), np.eye(2))
+    # Balanced drives with 2|delta|*gamma21 = |Omega|^2: G's eigenvalues
+    # coincide, and the CW output stays finite.
+    out = steady_cw_output(MediumParams(alpha=100.0, delta=20.0, gamma21=0.05), FieldPair(1e-3, 1e-3))
+    assert np.isfinite([out.omega_p, out.omega_s]).all()
+    # At large depth the decaying mode is gone and nothing overflows.
+    deep = MediumParams(alpha=5000.0)
+    np.testing.assert_allclose(transfer_matrix(deep, 5000.0), np.full((2, 2), 0.5), rtol=0.0, atol=1e-15)
+
+
+@needs_scipy
+def test_transfer_matrix_special_points():
     # Balanced drives with 2|delta|*gamma21 = |Omega|^2: G's eigenvalues coincide.
     degenerate = MediumParams(alpha=100.0, delta=20.0, gamma21=0.05, omega_d=np.exp(0.7j))
     assert_transfer_matches_oracle(degenerate, np.array([0.0, 1.0, 37.5, 100.0]))
-    # At large depth the decaying mode is gone and nothing overflows.
-    deep = MediumParams(alpha=5000.0)
-    assert_transfer_matches_oracle(deep, np.array([5000.0]))
-    np.testing.assert_allclose(transfer_matrix(deep, 5000.0), np.full((2, 2), 0.5), rtol=0.0, atol=1e-15)
+    # At large depth the decaying mode is gone.
+    assert_transfer_matches_oracle(MediumParams(alpha=5000.0), np.array([5000.0]))
     # trace_curve(incident=...) follows H in a dephased, imbalanced medium.
     dephased = MediumParams(alpha=40.0, delta=-3.0, gamma21=0.2, omega_c=1.5, omega_d=0.5j)
     incident = np.array([0.01, 0.02j])
