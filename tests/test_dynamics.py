@@ -39,8 +39,10 @@ from dleit.dynamics import (
     step_fields,
 )
 from dleit.steady_state import (
+    _field_ratio,
     balanced_components,
     coherences_steady,
+    decay_factor,
     propagate_general,
 )
 
@@ -588,8 +590,8 @@ def test_guard_bounds_dominate_every_sample(seed, log_size, sparsity):
     # For any resolvent rows R and spectra F, sparse and spanning six decades:
     # the coherence bound is at least each row's mean |R_i F| (the per-row
     # bound it replaced) and so at least every |IFFT| sample of R F; the field
-    # bound is at least every sample of F.  One closure serves two spectra,
-    # as it serves successive grid points.
+    # bound is at least every sample of F.  One gain serves two spectra, as
+    # it serves successive grid points.
     rng = np.random.default_rng(seed)
     size = 1 << log_size
 
@@ -598,9 +600,9 @@ def test_guard_bounds_dominate_every_sample(seed, log_size, sparsity):
         return z * (rng.random(shape) >= sparsity) * 10.0 ** rng.uniform(-3.0, 3.0, shape)
 
     resolvent = draw((3, 2, size))
-    bounds = dynamics._guard_bounds(resolvent)
+    gain = dynamics._guard_gain(resolvent)
     for fields in (draw((2, size)), draw((2, size))):
-        rho_bound, field_bound = bounds(fields)
+        rho_bound, field_bound = dynamics._guard_bounds(gain, fields)
         coherences = resolvent[:, 0] * fields[0] + resolvent[:, 1] * fields[1]
         slack = 1.0 + 1e-12
         assert np.abs(coherences).sum(axis=1).max() / size <= rho_bound * slack
@@ -608,16 +610,115 @@ def test_guard_bounds_dominate_every_sample(seed, log_size, sparsity):
         assert np.abs(np.fft.ifft(fields)).max() <= field_bound * slack
 
 
-def test_weak_fields_pass_the_guard_without_sampling(caplog, ifft_shapes):
-    # A weak square pair at n_z = 800: every checked grid point passes on its
-    # bounds, so the only inverse transforms are the certificate's and the
-    # outputs', and no (3, L) coherence transform runs.
+def test_weak_fields_pass_the_guard_without_sampling(caplog, ifft_shapes, monkeypatch):
+    # A weak square pair at n_z = 800: the whole-run bound covers every
+    # interior checked grid point, so the guard takes no per-point hop
+    # product (the one product is the terminal's) and the last point passes
+    # on its bounds.  The only inverse transforms are the certificate's and
+    # the outputs', and no (3, L) coherence transform runs.
     caplog.set_level(logging.DEBUG, logger="dleit")
+    products, apply = [], dynamics._apply
+    monkeypatch.setattr(dynamics, "_apply", lambda m, v: products.append(m.shape) or apply(m, v))
     params = MediumParams(alpha=18.0, delta=2.0, gamma21=0.05, omega_d=np.exp(1j))
     pulse = PulseShape.square(AMP, 10.0, 210.0)
     simulate(params, pulse, pulse, SimGrid(n_z=800, dt=0.1, t_final=300.0))
     assert debug_routes(caplog) == ["simulate: spectral route"]
+    assert products == [(2, 2, 8192)]
     assert ifft_shapes == [(2, 2, 8192), (2, 8192)]
+
+
+def amplifying(alpha):
+    """Balanced drives at the amplification optimum of depth `alpha`."""
+    optimum = optimize_amplification(alpha)
+    return MediumParams(alpha=alpha, delta=optimum.delta_opt, omega_d=np.exp(1j * optimum.phi_r_opt))
+
+
+@given(
+    alpha=st.floats(min_value=0.5, max_value=100.0),
+    delta=st.floats(min_value=-10.0, max_value=10.0),
+    omega_c=drive_magnitude,
+    omega_d=drive_magnitude,
+    phi_r=st.floats(min_value=0.0, max_value=2.0 * math.pi),
+    amplify=st.booleans(),
+    n_z=st.integers(min_value=16, max_value=400),
+    dt=st.floats(min_value=0.05, max_value=0.2),
+    log_size=st.integers(min_value=6, max_value=11),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_run_bounds_dominate_every_checked_point(
+    alpha, delta, omega_c, omega_d, phi_r, amplify, n_z, dt, log_size, seed
+):
+    # Real hops of gamma21 = 0 media, imbalanced or at an amplifying working
+    # point, and sparse spectra spanning six decades: the whole-run bounds are
+    # at least the mean-|DFT| bounds at every interior checked grid point
+    # j = m * stride, and so at least every |IFFT| sample of F_j and R F_j.
+    params = amplifying(alpha) if amplify else MediumParams(
+        alpha=alpha, delta=delta, omega_c=omega_c, omega_d=omega_d * np.exp(1j * phi_r))
+    step, source = _propagators(params.delta, 0.0, params.omega_c, params.omega_d, dt)
+    size = 1 << log_size
+    resolvent = dynamics._resolvent(step, source, size)
+    (hop,) = dynamics._segment_powers(resolvent[:2], alpha / (n_z - 1), (INSTABILITY_CHECK_STRIDE,))
+    rng = np.random.default_rng(seed)
+    shape = (2, size)
+    fields = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * (
+        rng.random(shape) >= rng.uniform(0.0, 0.95)) * 10.0 ** rng.uniform(-3.0, 3.0, shape)
+    gain = dynamics._guard_gain(resolvent)
+    hops = (n_z - 2) // INSTABILITY_CHECK_STRIDE
+    # With a unit spectrum on one field the bounds are sums of max(1, |hop|)^hops,
+    # against a numerical SVD: |hop| in closed form is good to a few ulps.
+    growth = np.maximum(np.linalg.norm(hop.transpose(2, 0, 1), 2, axis=(1, 2)), 1.0) ** hops
+    unit = np.zeros((2, size), dtype=complex)
+    unit[1] = 1.0
+    np.testing.assert_allclose(dynamics._run_bounds(gain, hop, unit, hops),
+                               (np.hypot(*gain) @ growth / size, growth.mean()), rtol=1e-12)
+    rho_run, field_run = (bound * (1.0 + 1e-12) for bound in dynamics._run_bounds(gain, hop, fields, hops))
+    for _ in range(hops + 1):
+        rho_bound, field_bound = dynamics._guard_bounds(gain, fields)
+        assert rho_bound <= rho_run and field_bound <= field_run
+        assert np.abs(np.fft.ifft(dynamics._apply(resolvent, fields))).max() <= rho_run
+        assert np.abs(np.fft.ifft(fields)).max() <= field_run
+        fields = dynamics._apply(hop, fields)
+
+
+@pytest.mark.parametrize(
+    "params, pulse, grid, route",
+    [
+        (lambda: MediumParams(alpha=18.0, delta=2.0, gamma21=0.05, omega_d=np.exp(1j)),
+         PulseShape.square(AMP, 10.0, 210.0), SimGrid(n_z=800, dt=0.1, t_final=300.0),
+         "simulate: spectral route"),
+        (lambda: amplifying(40.0), PulseShape.smoothed_square(AMP, 10.0, 110.0),
+         SimGrid(n_z=160, dt=0.1, t_final=200.0), "simulate: spectral route"),
+        (lambda: MediumParams(alpha=5.0), PulseShape.cw(0.8),
+         SimGrid(n_z=160, dt=0.05, t_final=60.0), "simulate: spectral route"),
+        (lambda: amplifying(40.0), PulseShape.smoothed_square(1.0, 10.0, 110.0),
+         SimGrid(n_z=160, dt=0.1, t_final=200.0), "simulate: stepper route (guard at grid point 0)"),
+    ],
+    ids=["weak", "amplifying", "sampled", "aborting"],
+)
+def test_failed_run_bound_walks_to_the_same_result(params, pulse, grid, route, monkeypatch):
+    # The whole-run bound passes in the first two cases and fails in the
+    # last two.  Forced to fail, it leaves the guard to walk every checked
+    # grid point: the route, its DEBUG message, and the outputs or the
+    # stepper's error are those of the normal run.
+    params = params()
+
+    def run():
+        with RouteLog() as log:
+            try:
+                return log.messages, simulate(params, pulse, pulse, grid), None
+            except NumericalInstability as exc:
+                return log.messages, None, str(exc)
+
+    calls, run_bounds = [], dynamics._run_bounds
+    monkeypatch.setattr(dynamics, "_run_bounds", lambda *a: calls.append(a) or run_bounds(*a))
+    messages, result, error = run()
+    assert messages == [route] and len(calls) == 1
+    monkeypatch.setattr(dynamics, "_run_bounds", lambda *a: (math.inf, math.inf))
+    walked_messages, walked, walked_error = run()
+    assert walked_messages == messages and walked_error == error
+    if result is not None:
+        assert_bit_identical(walked, result)
 
 
 @given(
@@ -1030,6 +1131,20 @@ def test_amplification_sweep():
     assert results[1].signal_transmission > results[0].signal_transmission
     with pytest.raises(ValueError):
         amplification_sweep([])
+
+
+@given(alpha=st.floats(min_value=0.5, max_value=200.0), delta=st.floats(min_value=0.5, max_value=60.0))
+def test_working_point_takes_one_decay_factor(alpha, delta):
+    # The loop phase and both transmissions come from one evaluation of the
+    # decay factor E: the phase is optimal_relative_phase's, and each
+    # transmission is that of E's balanced ratio at it.  A second evaluation
+    # by another numpy path differs in the last bit at about 3 points in 10.
+    point = dynamics._working_point(alpha, delta)
+    env = decay_factor(alpha, delta)
+    phase = np.exp(-1j * point.phi_r_opt)
+    assert point.phi_r_opt == optimal_relative_phase(alpha, delta, "signal")
+    assert point.probe_transmission == abs(_field_ratio(env, phase)) ** 2
+    assert point.signal_transmission == abs(_field_ratio(env, np.conj(phase))) ** 2
 
 
 def test_amplification_sweep_reports_the_first_invalid_depth():
