@@ -31,9 +31,10 @@ from .steady_state import (
     ZERO_FIELD_TOL,
     ZeroFieldError,
     _decay_kernel,
+    _field_ratio,
     _mode_weights,
     balanced_components,
-    balanced_ratios,
+    decay_factor,
     transmission_and_phase,
 )
 
@@ -177,13 +178,15 @@ def apm_contrast(alpha: float, delta: float, phi_r: float) -> tuple[float, float
     """Probe output phases with and without the signal, and their contrast.
 
     Returns (phase_with, phase_without, contrast); contrast is the absolute
-    wrapped phase difference in [0, pi].  Raises ZeroFieldError when either
+    wrapped phase difference in [0, pi].  Both ratios come from one
+    evaluation of the decay factor.  Raises ZeroFieldError when either
     terminal field has vanished and its phase is undefined.
     """
     if not math.isfinite(phi_r):
         raise ValueError(f"phi_r must be finite, got {phi_r}")
-    ratio_without = balanced_components(alpha, delta)[0]
-    ratio_with = complex(balanced_ratios(alpha, delta, phi_r)[0])
+    env = decay_factor(alpha, delta)
+    ratio_without = _mode_weights(env)[0]
+    ratio_with = complex(_field_ratio(env, np.exp(-1j * phi_r)))
     _, phase_with = transmission_and_phase(ratio_with)
     _, phase_without = transmission_and_phase(ratio_without)
     contrast = abs(float(wrap_signed(phase_with - phase_without)))

@@ -99,8 +99,10 @@ FIELD_BLOWUP_FACTOR = 10.0
 #: share of the peak input that its zero padding may fold back onto an output.
 SPECTRAL_TAIL_BOUND = 1e-10
 
-#: Frequencies per block of the spectral route's transfer powers.
-_SPECTRAL_BLOCK = 1024
+#: Frequencies per block of the spectral route's transfer powers.  Best of 40
+#: `_segment_powers` at n_z 3200, L 8192, blocks of 256 to 8192: 5.1, 3.4, 2.6,
+#: 2.2, 1.8, 1.9 ms; traced peak 1.3, 1.8, 2.5 MiB at 1024, 4096, 8192.
+_SPECTRAL_BLOCK = 4096
 
 #: Hop products the spectral guard's walk may take before its whole-run
 #: bound is tried first.  The bound costs about 4 walked grid points: 377 us
@@ -108,9 +110,9 @@ _SPECTRAL_BLOCK = 1024
 #: (numpy 2.4, 2-vCPU Xeon).
 _RUN_BOUND_HOPS = 4
 
-#: Longest FFT the spectral route takes on.  Its arrays peak near 320 bytes
-#: per sample (82 MB here), several times the stepper's per-step storage, so
-#: longer runs go to the stepper.
+#: Longest FFT the spectral route takes on.  A first run's arrays peak near
+#: 350 bytes per sample (92 MB here), several times the stepper's per-step
+#: storage, so longer runs go to the stepper.
 _SPECTRAL_MAX_SIZE = 1 << 18
 
 PULSE_KINDS = ("square", "smoothed_square", "gaussian", "cw")
@@ -396,18 +398,28 @@ def _segment_powers(drive_rows: np.ndarray, dzeta: float, exponents: tuple[int, 
     powers = [np.empty((2, 2, size), dtype=complex) for _ in exponents]
     for lo in range(0, size, _SPECTRAL_BLOCK):
         block = slice(lo, lo + _SPECTRAL_BLOCK)
-        e = 0.25j * dzeta * drive_rows[..., block]
-        cross = e[0, 0] * e[1, 1] - e[0, 1] * e[1, 0]
-        e[0, 0] -= cross
-        e[1, 1] -= cross
-        e *= 2.0 / (1.0 - e[0, 0] - e[1, 1] - cross)
-        trace, det = e[0, 0] + e[1, 1], e[0, 0] * e[1, 1] - e[0, 1] * e[1, 0]
-        for power, (a, b) in zip(powers, _powers(trace, det, exponents)):
-            out = power[..., block]
-            np.multiply(b, e, out=out)
-            out[0, 0] += a
-            out[1, 1] += a
+        _block_powers(drive_rows[..., block], dzeta, exponents, [power[..., block] for power in powers])
     return powers
+
+
+def _block_powers(rows: np.ndarray, dzeta: float, exponents: tuple[int, ...], outs: list) -> None:
+    """One block of `_segment_powers` into `outs`; E is formed in outs[0], written last."""
+    e = np.multiply(0.25j * dzeta, rows, out=outs[0])
+    cross = e[0, 0] * e[1, 1]
+    cross -= e[0, 1] * e[1, 0]
+    e[0, 0] -= cross
+    e[1, 1] -= cross
+    scale = 1.0 - e[0, 0]
+    scale -= e[1, 1]
+    scale -= cross
+    e *= np.divide(2.0, scale, out=scale)
+    trace = np.add(e[0, 0], e[1, 1], out=scale)
+    det = np.multiply(e[0, 0], e[1, 1], out=cross)
+    det -= e[0, 1] * e[1, 0]
+    for out, (a, b) in reversed(list(zip(outs, _powers(trace, det, exponents)))):
+        np.multiply(b, e, out=out)
+        out[0, 0] += a
+        out[1, 1] += a
 
 
 def _powers(trace: np.ndarray, det: np.ndarray, exponents: tuple[int, ...]) -> list:
@@ -415,7 +427,8 @@ def _powers(trace: np.ndarray, det: np.ndarray, exponents: tuple[int, ...]) -> l
 
     E is a stack of 2x2 matrices given by its trace and determinant: every
     power of I + E is a polynomial in E, reduced to degree 1 by Cayley-Hamilton,
-    E^2 = tr(E) E - det(E) I.  So a product costs a few ops on two arrays.
+    E^2 = tr(E) E - det(E) I.  So a product costs a few ops on two arrays, and
+    a square step, (a, b)^2 = (a^2 - det b^2, 2ab + tr b^2), one op fewer.
     """
     results = [None] * len(exponents)
     base, bit = (1.0, 1.0), 1
@@ -426,20 +439,38 @@ def _powers(trace: np.ndarray, det: np.ndarray, exponents: tuple[int, ...]) -> l
         bit <<= 1
         if bit > max(exponents):
             return results
-        base = _times(base, base, trace, det)
+        base = _square(base, trace, det)
 
 
 def _times(x: tuple, y: tuple, trace: np.ndarray, det: np.ndarray) -> tuple:
     """(a1 I + b1 E)(a2 I + b2 E) in the same degree-1 form."""
     (a1, b1), (a2, b2) = x, y
     bb = b1 * b2
-    return a1 * a2 - det * bb, a1 * b2 + a2 * b1 + trace * bb
+    a = a1 * a2
+    a -= det * bb
+    b = a1 * b2
+    b += a2 * b1
+    b += trace * bb
+    return a, b
+
+
+def _square(x: tuple, trace: np.ndarray, det: np.ndarray) -> tuple:
+    """`_times(x, x, ...)`, bit for bit: a1 b2 + a2 b1 as ab + ab."""
+    a, b = x
+    bb = b * b
+    ab = a * b
+    ab += ab
+    ab += trace * bb
+    aa = a * a
+    aa -= det * bb
+    return aa, ab
 
 
 def _apply(matrix: np.ndarray, vector: np.ndarray) -> np.ndarray:
     """Per-frequency product of a (..., 2, L) stack with a (2, L) stack."""
     product = matrix[..., 0, :] * vector[0]
-    product += matrix[..., 1, :] * vector[1]
+    for row, coupling in zip(product, matrix[..., 1, :]):
+        row += coupling * vector[1]
     return product
 
 
@@ -463,20 +494,28 @@ def _run_bounds(gain: np.ndarray, hop: np.ndarray, spectrum: np.ndarray, hops: i
     """Bounds on every sample of R F and of F at once, for all F = hop^m `spectrum`
     with 0 <= m <= `hops`: per frequency, in 2-norms, |F| <= max(1, |hop|)^hops
     |spectrum| and every |R_i F| <= |gain| |F|."""
-    # |hop|^2 is the top eigenvalue of hop hop^H = [[a, c], [c*, b]]:
-    # (a + b)/2 + sqrt(((a - b)/2)^2 + |c|^2), a sum free of cancellation.
-    square = np.abs(hop)
-    square *= square
-    a, b = square.sum(axis=1)
-    c = np.abs((hop[0] * hop[1].conj()).sum(axis=0))
+    weight = _pair_norm(np.abs(spectrum))
+    weight *= np.maximum(_norm_squared(hop), 1.0) ** (0.5 * hops)
+    return _pair_norm(gain) @ weight / weight.size, weight.sum() / weight.size
+
+
+def _pair_norm(pair: np.ndarray) -> np.ndarray:
+    """Per-frequency 2-norm of a real (2, L) pair: a hypot that cannot underflow."""
+    z = 1j * pair[1]
+    z += pair[0]
+    return np.abs(z)
+
+
+def _norm_squared(hop: np.ndarray) -> np.ndarray:
+    """|hop|_2^2 per frequency, the top eigenvalue of hop hop^H = [[a, c], [c*, b]]:
+    (a + b)/2 + sqrt(((a - b)/2)^2 + |c|^2), a sum free of cancellation."""
+    a, b = ((np.abs(row) ** 2).sum(axis=0) for row in hop)
+    cross = hop[1].conj()
+    np.multiply(hop[0], cross, out=cross)
+    c = np.abs(np.add(*cross, out=cross[0]))
+    del cross
     half = 0.5 * (a - b)
-    top = 0.5 * (a + b) + np.sqrt(half * half + c * c)
-    # Each 2-norm of a pair is the modulus of one complex number: a hypot
-    # that cannot underflow.
-    magnitude = np.abs(spectrum)
-    weight = np.abs(magnitude[0] + 1j * magnitude[1])
-    weight *= np.maximum(top, 1.0) ** (0.5 * hops)
-    return np.abs(gain[0] + 1j * gain[1]) @ weight / weight.size, weight.sum() / weight.size
+    return 0.5 * (a + b) + np.sqrt(half * half + c * c)
 
 
 def _resolvent(step: np.ndarray, source: np.ndarray, size: int) -> np.ndarray:
@@ -524,7 +563,8 @@ def _spectral_outputs(
         hop, total = _segment_powers(resolvent[:2], dzeta, (stride, n_z - 1))
         # Certificate: the periodized impulse response over the wrap zone,
         # the lags that the zero padding folds back onto returned samples.
-        tail = np.abs(np.fft.ifft(total)[..., size - n + 1:]).sum(axis=(1, 2)).max()
+        # One row of the stack at a time halves the temporaries.
+        tail = np.max([np.abs(np.fft.ifft(row)[:, size - n + 1:]).sum() for row in total])
         if not math.isfinite(tail):
             return None, "non-finite transfer function"
         if not tail <= SPECTRAL_TAIL_BOUND:

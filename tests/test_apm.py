@@ -34,10 +34,12 @@ from dleit.phase_jump import critical_depth, jump_phase_probe
 from dleit.steady_state import (
     ZeroFieldError,
     _decay_kernel,
+    _field_ratio,
     _mode_weights,
     balanced_components,
     balanced_ratios,
     decay_factor,
+    transmission_and_phase,
 )
 
 alphas = st.floats(min_value=0.5, max_value=150.0)
@@ -189,6 +191,25 @@ def test_phase_with_is_the_target_ray_angle(target, angle):
 def test_apm_contrast_rejects_non_finite_loop_phase(bad):
     with pytest.raises(ValueError, match="phi_r must be finite"):
         apm_contrast(100.0, 16.5, bad)
+
+
+def test_apm_contrast_takes_one_decay_factor():
+    # Both phases come from one evaluation of the decay factor E by
+    # `decay_factor`: phase_without is that of E's non-decaying weight and
+    # phase_with that of E's probe ratio.  Every point is drawn where the 0-d
+    # array path to E differs in the last bit, as it does at 3 points in 10.
+    rng = np.random.default_rng(20261020)
+    checked = 0
+    while checked < 50:
+        alpha, delta = float(rng.uniform(0.5, 200.0)), float(rng.uniform(0.5, 60.0))
+        env = decay_factor(alpha, delta)
+        if env == complex(_decay_kernel(np.asarray(alpha), delta)):
+            continue
+        phi = float(rng.uniform(0.0, TWO_PI))
+        phase_with, phase_without, _ = apm_contrast(alpha, delta, phi)
+        assert phase_without == transmission_and_phase(_mode_weights(env)[0])[1]
+        assert phase_with == transmission_and_phase(_field_ratio(env, np.exp(-1j * phi)))[1]
+        checked += 1
 
 
 def test_operating_point_rejects_unknown_target():

@@ -2,6 +2,7 @@
 
 import logging
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -614,8 +615,9 @@ def test_weak_fields_pass_the_guard_without_sampling(caplog, ifft_shapes, monkey
     # A weak square pair at n_z = 800: the whole-run bound covers every
     # interior checked grid point, so the guard takes no per-point hop
     # product (the one product is the terminal's) and the last point passes
-    # on its bounds.  The only inverse transforms are the certificate's and
-    # the outputs', and no (3, L) coherence transform runs.
+    # on its bounds.  The only inverse transforms are the certificate's, one
+    # per row of the (2, 2, L) stack, and the outputs', and no (3, L)
+    # coherence transform runs.
     caplog.set_level(logging.DEBUG, logger="dleit")
     products, apply = [], dynamics._apply
     monkeypatch.setattr(dynamics, "_apply", lambda m, v: products.append(m.shape) or apply(m, v))
@@ -624,7 +626,7 @@ def test_weak_fields_pass_the_guard_without_sampling(caplog, ifft_shapes, monkey
     simulate(params, pulse, pulse, SimGrid(n_z=800, dt=0.1, t_final=300.0))
     assert debug_routes(caplog) == ["simulate: spectral route"]
     assert products == [(2, 2, 8192)]
-    assert ifft_shapes == [(2, 2, 8192), (2, 8192)]
+    assert ifft_shapes == [(2, 8192)] * 3
 
 
 def amplifying(alpha):
@@ -719,6 +721,81 @@ def test_failed_run_bound_walks_to_the_same_result(params, pulse, grid, route, m
     assert walked_messages == messages and walked_error == error
     if result is not None:
         assert_bit_identical(walked, result)
+
+
+def plain_segment_powers(drive_rows, dzeta, exponents):
+    """The transfer powers as first written: every frequency in one block, a
+    `_times`-only repeated squaring per exponent, each power built as b E + a I.
+
+    The arithmetic and its operand order are those of `_segment_powers`
+    (complex products need not commute bit for bit), so the two must agree
+    bit for bit.
+    """
+    e = 0.25j * dzeta * drive_rows
+    cross = e[0, 0] * e[1, 1] - e[0, 1] * e[1, 0]
+    e[0, 0] -= cross
+    e[1, 1] -= cross
+    e *= 2.0 / (1.0 - e[0, 0] - e[1, 1] - cross)
+    trace, det = e[0, 0] + e[1, 1], e[0, 0] * e[1, 1] - e[0, 1] * e[1, 0]
+
+    def times(x, y):
+        (a1, b1), (a2, b2) = x, y
+        bb = b1 * b2
+        return a1 * a2 - det * bb, a1 * b2 + a2 * b1 + trace * bb
+
+    powers = []
+    for p in exponents:
+        result, base, bit = None, (1.0, 1.0), 1
+        while bit <= p:
+            if p & bit:
+                result = base if result is None else times(result, base)
+            base, bit = times(base, base), bit << 1
+        a, b = result
+        power = b * e
+        power[0, 0] += a
+        power[1, 1] += a
+        powers.append(power)
+    return powers
+
+
+@pytest.mark.parametrize("block", [dynamics._SPECTRAL_BLOCK, 96])
+@pytest.mark.parametrize("size", [128, 2048, 8192])
+def test_segment_powers_are_bit_identical_to_plain_squaring(size, block, monkeypatch):
+    # Resolvent rows of random media, with and without dephasing: the
+    # blocked kernel with its square step gives the plain powers bit for
+    # bit, in its own blocks and in blocks of 96, which divide no L.
+    monkeypatch.setattr(dynamics, "_SPECTRAL_BLOCK", block)
+    exponents = (1, 2, 3, 24, 25, 49, 199, 3199)
+    rng = np.random.default_rng(size)
+    for gamma21 in (0.0, 0.0, 0.05, 0.1):
+        params = MediumParams(alpha=rng.uniform(0.5, 100.0), delta=rng.uniform(-10.0, 10.0),
+                              gamma21=gamma21, omega_c=rng.uniform(0.5, 2.0),
+                              omega_d=rng.uniform(0.5, 2.0) * np.exp(2j * math.pi * rng.random()))
+        step, source = _propagators(params.delta, params.gamma21, params.omega_c, params.omega_d,
+                                    rng.uniform(0.05, 0.2))
+        rows = dynamics._resolvent(step, source, size)[:2]
+        dzeta = params.alpha / rng.integers(15, 3200)
+        powers = dynamics._segment_powers(rows, dzeta, exponents)
+        plain = plain_segment_powers(rows, dzeta, exponents)
+        assert [p.tobytes() for p in powers] == [p.tobytes() for p in plain]
+
+
+def test_terminal_run_peaks_within_the_stated_memory(caplog):
+    # The study's pulse pair at the alpha = 100 amplification optimum, L =
+    # 65,536: the arrays of a first terminal-only run, the cached unit circle
+    # included, peak within the 350 bytes per FFT sample that the
+    # _SPECTRAL_MAX_SIZE comment states.
+    caplog.set_level(logging.DEBUG, logger="dleit")
+    params, pulse = amplifying(100.0), PulseShape.smoothed_square(AMP, 10.0, 210.0)
+    dynamics._unit_circle.cache_clear()
+    tracemalloc.start()
+    try:
+        simulate(params, pulse, pulse, SimGrid(n_z=200, dt=0.02, t_final=400.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert debug_routes(caplog) == ["simulate: spectral route"]
+    assert peak <= 350 * 65536
 
 
 @given(
