@@ -301,14 +301,8 @@ def cmd_propagate(args) -> tuple[list[str], list[list[float]], dict]:
         omega_c=args.omega_c,
         omega_d=args.omega_d * np.exp(1j * args.phi_r),
     )
-    if args.pulse == "cw":
-        probe = PulseShape.cw(args.probe_amp, args.t_on, args.rise_time)
-        signal = PulseShape.cw(args.signal_amp, args.t_on, args.rise_time)
-    else:
-        probe = PulseShape(args.pulse, args.probe_amp, args.t_on, args.t_off,
-                           args.rise_time)
-        signal = PulseShape(args.pulse, args.signal_amp, args.t_on, args.t_off,
-                            args.rise_time)
+    probe = PulseShape(args.pulse, args.probe_amp, args.t_on, args.t_off, args.rise_time)
+    signal = PulseShape(args.pulse, args.signal_amp, args.t_on, args.t_off, args.rise_time)
     grid = SimGrid(n_z=args.n_z, dt=args.dt, t_final=args.t_final)
     result = simulate(params, probe, signal, grid)
     waves = {"probe_in": result.input_probe, "signal_in": result.input_signal,

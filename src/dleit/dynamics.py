@@ -244,11 +244,7 @@ class PulseShape:
             if self.rise_time == 0.0:
                 shape = (t >= self.t_on).astype(float)
             else:
-                shape = np.where(
-                    t >= self.t_on,
-                    1.0 - np.exp(-np.maximum(t - self.t_on, 0.0) / self.rise_time),
-                    0.0,
-                )
+                shape = 1.0 - np.exp(-np.maximum(t - self.t_on, 0.0) / self.rise_time)
         return self.amplitude * shape
 
 
@@ -701,8 +697,8 @@ def simulate(
         params.delta, params.gamma21, params.omega_c, params.omega_d, grid.dt
     )
 
-    input_probe = np.atleast_1d(probe_pulse.envelope(times))
-    input_signal = np.atleast_1d(signal_pulse.envelope(times))
+    input_probe = probe_pulse.envelope(times)
+    input_signal = signal_pulse.envelope(times)
     peak_input = max(np.abs(input_probe).max(), np.abs(input_signal).max())
     field_bound = FIELD_BLOWUP_FACTOR * peak_input
     edges = np.stack([input_signal, input_probe])

@@ -9,8 +9,9 @@ and transmission/phase extraction from terminal field ratios.
 
 One optical-Bloch-equation matrix A (`_obe_matrix`) and one 3x3 inverse
 (`_adjugate`) sit behind the coherences, the transfer matrix and the spectral
-twin of `dleit.dynamics`, for any gamma21 >= 0; the balanced forms alone
-require gamma21 = 0.
+twin of `dleit.dynamics`, for any gamma21 >= 0.  One balanced-entry check
+(`_require_phi_r_form`: gamma21 = 0, a finite phi_r, |Omega_c| = |Omega_d|)
+guards the phi_r-parameterized entries `propagate_balanced` and `trace_curve`.
 """
 
 from __future__ import annotations
@@ -84,11 +85,16 @@ class PropagationCurve:
         return self.zeta_grid.size
 
 
-def _require_undephased(params: MediumParams) -> None:
-    """The one gamma21 = 0 guard of the balanced closed forms."""
+def _require_phi_r_form(phi_r: float, params: MediumParams) -> None:
+    """The one balanced-entry check: gamma21 = 0, finite phi_r and |Omega_c| = |Omega_d|."""
     if params.gamma21 != 0.0:
         raise ValueError("balanced closed form requires gamma21 = 0; for dephased media "
                          "use propagate_general or trace_curve(incident=...)")
+    if not math.isfinite(phi_r):
+        raise ValueError(f"phi_r must be finite, got {phi_r}")
+    if not params.is_balanced:
+        raise ValueError("balanced closed form requires |omega_c| = |omega_d|; for imbalanced "
+                         "drives use propagate_general or trace_curve(incident=...)")
 
 
 def _obe_matrix(delta: float, gamma21: float, omega_c: complex, omega_d: complex) -> np.ndarray:
@@ -177,11 +183,12 @@ def transfer_matrix(params: MediumParams, depth):
     Holds for any gamma21 >= 0.  The fields obey d/dzeta = G, with G = A^-1/4 on
     its (rho41, rho31) block in (probe, signal) order and, by Jacobi's identity,
     det G = A[2, 2]/(16 det A) (exactly 0 at gamma21 = 0).  With Z = depth*G,
-    tau = tr(Z)/2, s^2 = tau^2 - det(Z): H = e^tau*[cosh(s)*I + sinh(s)/s*(Z -
-    tau*I)], summed from e^(tau +- s) so nothing overflows; below |s| = 1,
-    sinh(s)/s is taken directly (1 at s = 0, where the eigenvalues coincide).
-    Broadcasts over `depth`, H in the last two axes; depth 0 gives I.  A
-    negative or non-finite depth raises ValueError.
+    tau = tr(Z)/2 and s the root of s^2 = tau^2 - det(Z) with Re s <= 0,
+    H = e^(tau - s)*[(1 + m/2)*I + m/(2s)*(Z - tau*I)], m = expm1(2s): e^(tau - s)
+    is the dominant mode and |1 + m| <= 1, so nothing overflows or cancels
+    (m/(2s) is 1 at s = 0, where the eigenvalues coincide).  Broadcasts over
+    `depth`, H in the last two axes; depth 0 gives I.  A negative or
+    non-finite depth raises ValueError.
     """
     depth = np.asarray(depth, dtype=float)
     if not (np.isfinite(depth) & (depth >= 0.0)).all():
@@ -190,15 +197,13 @@ def transfer_matrix(params: MediumParams, depth):
     adj, det = _adjugate(a)
     z = np.multiply.outer(depth, adj[1::-1, 1::-1] / (4.0 * det))
     tau = 0.5 * (z[..., 0, 0] + z[..., 1, 1])
-    s = np.sqrt(tau * tau - depth * depth * a[2, 2] / (16.0 * det))
-    grow, fall = np.exp(tau + s), np.exp(tau - s)
-    near = np.abs(s) < 1.0
-    small, large = np.where(near, s, 0.0), np.where(near, 1.0, s)
-    sinhc = np.divide(np.sinh(small), small, out=np.ones_like(small), where=small != 0.0)
-    odd = np.where(near, np.exp(tau) * sinhc, 0.5 * (grow - fall) / large)
-    even = 0.5 * (grow + fall)
+    s = -np.sqrt(tau * tau - depth * depth * a[2, 2] / (16.0 * det))
+    m = np.expm1(2.0 * s)
+    odd = np.divide(m, 2.0 * s, out=np.ones_like(m), where=s != 0.0)
+    dominant = np.exp(tau - s)
     eye = np.eye(2)
-    return odd[..., None, None] * (z - tau[..., None, None] * eye) + even[..., None, None] * eye
+    return ((dominant * odd)[..., None, None] * (z - tau[..., None, None] * eye)
+            + (dominant * (1.0 + 0.5 * m))[..., None, None] * eye)
 
 
 def propagate_general(params: MediumParams, incident: FieldPair, zeta: float) -> FieldPair:
@@ -238,14 +243,7 @@ def propagate_balanced(
     Requires |Omega_c| = |Omega_d|, gamma21 = 0, and 0 <= zeta <= alpha;
     the caller is responsible for |Omega_p(0)| = |Omega_s(0)|.
     """
-    _require_undephased(params)
-    if not math.isfinite(phi_r):
-        raise ValueError(f"phi_r must be finite, got {phi_r}")
-    if not params.is_balanced:
-        raise ValueError(
-            "balanced solution requires |omega_c| = |omega_d|; "
-            "use propagate_general for imbalanced drives"
-        )
+    _require_phi_r_form(phi_r, params)
     if not 0.0 <= zeta <= params.alpha:
         raise ValueError(f"zeta = {zeta} outside [0, alpha = {params.alpha}]")
     probe, signal = balanced_ratios(float(zeta), params.xi.real, float(phi_r))
@@ -271,19 +269,12 @@ def trace_curve(
     if n_samples < 2:
         raise ValueError(f"n_samples must be >= 2, got {n_samples}")
     if incident is None:
-        _require_undephased(params)
-        if not math.isfinite(phi_r):
-            raise ValueError(f"phi_r must be finite, got {phi_r}")
+        _require_phi_r_form(phi_r, params)
     if params.alpha == 0.0:
         one = np.array([1.0 + 0.0j])
         return PropagationCurve(np.array([0.0]), one, one.copy())
     zeta = np.linspace(0.0, params.alpha, n_samples)
     if incident is None:
-        if not params.is_balanced:
-            raise ValueError(
-                "phi_r-parameterized tracing requires |omega_c| = |omega_d|; "
-                "pass `incident` to trace an imbalanced configuration"
-            )
         probe, signal = balanced_ratios(zeta, params.xi.real, float(phi_r))
     else:
         if abs(incident.omega_p) == 0.0 or abs(incident.omega_s) == 0.0:

@@ -430,6 +430,34 @@ def test_propagate_rows_are_simulate_arrays_at_stride(tmp_path):
     assert np.array_equal(np.array(rows), np.column_stack(expected)[::7])
 
 
+@pytest.mark.parametrize("kind, rise_time", [
+    ("square", 1.5), ("smoothed_square", 1.5), ("gaussian", 1.5), ("cw", 1.5), ("cw", 0.0),
+])
+def test_propagate_pulses_match_their_classmethods(tmp_path, kind, rise_time):
+    # One PulseShape(kind, ...) call serves every kind: square and gaussian
+    # ignore rise_time, and a cw pulse never reads t_off.
+    text = run_csv(
+        tmp_path, "prop.csv",
+        ["propagate", "--alpha", "5", "--delta", "1.5", "--pulse", kind,
+         "--probe-amp", "1e-3", "--signal-amp", "2e-3", "--t-on", "3", "--t-off", "12",
+         "--rise-time", str(rise_time), "--n-z", "32", "--dt", "0.05", "--t-final", "20"],
+    )
+    _, _, rows = parse_csv(text)
+    if kind == "cw":
+        probe, signal = (PulseShape.cw(amp, 3.0, rise_time) for amp in (1e-3, 2e-3))
+    elif kind == "smoothed_square":
+        probe, signal = (PulseShape.smoothed_square(amp, 3.0, 12.0, rise_time) for amp in (1e-3, 2e-3))
+    else:
+        probe, signal = (getattr(PulseShape, kind)(amp, 3.0, 12.0) for amp in (1e-3, 2e-3))
+    params = MediumParams(alpha=5.0, delta=1.5)
+    result = simulate(params, probe, signal, SimGrid(n_z=32, dt=0.05, t_final=20.0))
+    expected = [result.time_grid]
+    for wave in (result.input_probe, result.input_signal,
+                 result.output_probe, result.output_signal):
+        expected += [wave.real, wave.imag]
+    assert np.array_equal(np.array(rows), np.column_stack(expected))
+
+
 def test_amplify_sweep_is_deterministic(tmp_path):
     argv = ["amplify-sweep", "--alpha", "5", "10", "20", "--scan-step", "0.5"]
     first = run_csv(tmp_path, "amp1.csv", argv)

@@ -12,12 +12,12 @@ algebra built on it.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import needs_scipy
 from dleit.apm import apm_contrast
 from dleit.core import FieldPair, MediumParams, wrap_signed
-from dleit.dynamics import optimal_relative_phase, peak_transmission, steady_cw_output
+from dleit.dynamics import _expm, optimal_relative_phase, peak_transmission, steady_cw_output
 from dleit.phase_jump import solve_jump
 from dleit.steady_state import (
     CoherenceState,
@@ -254,16 +254,24 @@ def test_balanced_closed_forms_reject_non_finite_depth_or_detuning(entry, bad):
 
 
 def test_closed_forms_share_one_dephasing_guard():
-    params = MediumParams(alpha=10.0, gamma21=0.05)
-    messages = set()
-    for call in (
-        lambda: propagate_balanced(1.0, params, 5.0),
-        lambda: trace_curve(1.0, params),
+    # Dephasing, a non-finite phi_r and imbalanced drives each raise one
+    # message from both phi_r entries, at alpha = 0 too.
+    for phi_r, medium, match in (
+        (1.0, dict(gamma21=0.05), "gamma21 = 0"),
+        (np.nan, {}, "phi_r must be finite"),
+        (1.0, dict(omega_c=1.0, omega_d=0.3), r"\|omega_c\| = \|omega_d\|"),
     ):
-        with pytest.raises(ValueError, match="gamma21 = 0") as info:
-            call()
-        messages.add(str(info.value))
-    assert len(messages) == 1
+        messages = set()
+        for alpha in (10.0, 0.0):
+            params = MediumParams(alpha=alpha, **medium)
+            for call in (
+                lambda: propagate_balanced(phi_r, params, alpha),
+                lambda: trace_curve(phi_r, params),
+            ):
+                with pytest.raises(ValueError, match=match) as info:
+                    call()
+                messages.add(str(info.value))
+        assert len(messages) == 1
 
 
 def test_balanced_components_sum_to_one():
@@ -293,13 +301,18 @@ def test_propagate_general_matches_ode_oracle():
         assert abs(out.omega_s - ref_s) / scale < 1e-7
 
 
-def oracle_transfer(params: MediumParams, depth: float) -> np.ndarray:
-    """scipy's expm of depth*G with the adiabatic generator G = 1/4*C*A^-1*B."""
-    from scipy.linalg import expm
-
+def field_generator(params: MediumParams) -> np.ndarray:
+    """The adiabatic generator G = 1/4*C*A^-1*B of the fields' d/dzeta, (probe, signal) order."""
     b_map = np.array([[0.0, 1.0], [1.0, 0.0], [0.0, 0.0]], dtype=complex)
     c_map = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]], dtype=complex)
-    return expm(depth * 0.25 * c_map @ np.linalg.solve(bloch_matrix(params), b_map))
+    return 0.25 * c_map @ np.linalg.solve(bloch_matrix(params), b_map)
+
+
+def oracle_transfer(params: MediumParams, depth: float) -> np.ndarray:
+    """scipy's expm of depth*G."""
+    from scipy.linalg import expm
+
+    return expm(depth * field_generator(params))
 
 
 def oracle_transfer_hand(params: MediumParams, depth: float) -> np.ndarray:
@@ -349,6 +362,36 @@ def test_transfer_matrix_matches_scipy_expm(alpha, delta, gamma21, mag_c, mag_d,
         omega_d=mag_d * np.exp(1j * phase_d),
     )
     assert_transfer_matches_oracle(params, np.array([0.3 * alpha, alpha]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    delta=st.floats(min_value=-60.0, max_value=60.0),
+    gamma21=st.one_of(st.just(0.0), st.floats(min_value=1e-6, max_value=1.0)),
+    mag_c=st.floats(min_value=0.1, max_value=5.0),
+    mag_d=st.floats(min_value=0.1, max_value=5.0),
+    phase_c=st.floats(min_value=0.0, max_value=2 * np.pi),
+    phase_d=st.floats(min_value=0.0, max_value=2 * np.pi),
+    log_s=st.floats(min_value=-8.0, max_value=np.log10(50.0)),
+)
+@example(delta=3.0, gamma21=0.2, mag_c=1.5, mag_d=0.5, phase_c=0.0, phase_d=1.0, log_s=0.0)
+def test_transfer_matrix_matches_in_package_expm(delta, gamma21, mag_c, mag_d, phase_c, phase_d, log_s):
+    # The numpy-only oracle: _expm(depth*G), at the depth (at most 1e3) that
+    # puts half the eigenvalue gap |s| of depth*G at 10**log_s, on both sides
+    # of |s| = 1.
+    params = MediumParams(
+        alpha=1.0,
+        delta=delta,
+        gamma21=gamma21,
+        omega_c=mag_c * np.exp(1j * phase_c),
+        omega_d=mag_d * np.exp(1j * phase_d),
+    )
+    g = field_generator(params)
+    half_gap = abs(np.sqrt(0.25 * (g[0, 0] - g[1, 1]) ** 2 + g[0, 1] * g[1, 0]))
+    depth = 10.0**log_s / max(half_gap, 10.0**log_s / 1e3)
+    h, reference = transfer_matrix(params, depth), _expm(depth * g)
+    assert np.isfinite(reference).all() and np.isfinite(h).all()
+    assert np.abs(h - reference).max() <= 1e-12 * max(1.0, np.abs(h).max())
 
 
 def test_transfer_matrix_limits():
