@@ -9,7 +9,9 @@ all in Gamma units.
 
 The package logs to the "dleit" logger, which carries a NullHandler:
 nothing is printed unless the application configures logging.  At DEBUG
-level `simulate` names the route each run took.
+level `simulate` names the route each run took; at WARNING level it flags a
+run whose outputs carry more energy than its inputs, which only the
+scheme's error on a coarse grid can cause.
 """
 
 import logging
@@ -34,15 +36,13 @@ from .steady_state import (
     propagate_balanced,
     propagate_general,
     trace_curve,
+    transfer_matrix,
     transmission_and_phase,
-    unwrapped_phase,
 )
 from .phase_jump import (
     JumpSolution,
     critical_depth,
     detect_zero_crossing,
-    jump_phase_probe,
-    jump_phase_signal,
     solve_jump,
     verify_jump,
     zero_crossings,
@@ -56,7 +56,6 @@ from .apm import (
     optimize_detuning_sweep,
     phi_r_for_half_pi_shift,
     phi_r_for_pi_shift,
-    scan_local_maxima,
 )
 from .dynamics import (
     AmplificationResult,
@@ -65,7 +64,6 @@ from .dynamics import (
     PulseSimResult,
     SimGrid,
     amplification_sweep,
-    optimal_relative_phase,
     optimize_amplification,
     peak_transmission,
     simulate,
@@ -101,10 +99,7 @@ __all__ = [
     "critical_depth",
     "decay_factor",
     "detect_zero_crossing",
-    "jump_phase_probe",
-    "jump_phase_signal",
     "operating_point",
-    "optimal_relative_phase",
     "optimize_amplification",
     "optimize_detuning",
     "optimize_detuning_sweep",
@@ -113,14 +108,13 @@ __all__ = [
     "phi_r_for_pi_shift",
     "propagate_balanced",
     "propagate_general",
-    "scan_local_maxima",
     "simulate",
     "solve_jump",
     "steady_cw_output",
     "step_fields",
     "trace_curve",
+    "transfer_matrix",
     "transmission_and_phase",
-    "unwrapped_phase",
     "validate_perturbative",
     "verify_jump",
     "wrap_phase",

@@ -275,27 +275,6 @@ def _band_maxima(
     return rows, deltas
 
 
-def scan_local_maxima(
-    alpha: float,
-    target_shift: str,
-    delta_range: tuple[float, float] = DEFAULT_DELTA_RANGE,
-    tol: float = DEFAULT_DELTA_TOL,
-    scan_step: float = DEFAULT_SCAN_STEP,
-) -> list[ApmOperatingPoint]:
-    """All local transmission maxima of the constrained detuning scan.
-
-    The one-depth case of the scan behind `optimize_detuning_sweep`: every
-    band's local maxima (band edges included), those strictly inside the
-    feasible region golden-refined.  Points are returned in increasing
-    detuning order, each built from one ray solution over all band maxima.
-    Raises InfeasibleError when the whole range is infeasible.
-    """
-    _, deltas = _band_maxima([alpha], target_shift, delta_range, tol, scan_step)
-    phi, transmission = _ray_solutions(alpha, deltas, target_shift)
-    points = zip(deltas.tolist(), phi.tolist(), transmission.tolist())
-    return [_operating_point(alpha, d, target_shift, p, t) for d, p, t in points]
-
-
 def optimize_detuning_sweep(
     alphas,
     target_shift: str,

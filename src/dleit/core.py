@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +34,14 @@ DEFAULT_SCAN_STEP = 0.05
 
 #: Golden-section refinement tolerance; the transmission optima are flat-topped.
 DEFAULT_DELTA_TOL = 1e-3
+
+
+def as_integer(name: str, value) -> int:
+    """`value` as an int; ValueError for anything non-integral, floats included."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def wrap_phase(phi: float) -> float:

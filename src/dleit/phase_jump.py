@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import wrap_phase
+from .core import as_integer, wrap_phase
 from .steady_state import DEFAULT_CURVE_SAMPLES, PropagationCurve, _decay_kernel, _field_ratio
 
 #: |ratio| below this at the refined minimum counts as an exact field zero.
@@ -43,6 +43,7 @@ def _check_jump(delta: float, n: int) -> None:
     """The one (delta, n) check of the critical-depth closed forms."""
     if not (math.isfinite(delta) and delta != 0.0):
         raise ValueError(f"phase jumps need a finite delta != 0, got {delta}")
+    n = as_integer("jump order", n)
     if n <= 0 or n % 2 == 0:
         raise ValueError(f"jump order must be a positive odd integer, got {n}")
 
@@ -52,7 +53,7 @@ def critical_depth(delta: float, n: int = 1) -> float:
 
     alpha_c = n*pi*(delta^2 + 1)/|delta| for odd positive n.  At delta = 0
     the decaying mode only attenuates and never rotates, so no zero exists
-    at any depth.
+    at any depth.  A non-integer order (1.0 included) raises ValueError.
     """
     _check_jump(delta, n)
     return n * np.pi * (delta * delta + 1.0) / abs(delta)
@@ -63,23 +64,13 @@ def _jump_phase(delta: float, n: int, branch_sign: float) -> float:
 
     Negative detuning reverses the rotation sense of the decaying mode,
     which is equivalent to negating the order n; that swaps the roles of
-    the two output fields.  The swap is absorbed into the sign of x.
+    the two output fields.  The swap is absorbed into the sign of x.  Checks
+    nothing: its caller `solve_jump` has checked (delta, n).
     """
-    _check_jump(delta, n)
     x = branch_sign * np.sign(delta) * np.sin(0.5 * np.pi * n) * np.exp(
         0.5 * np.pi * n / abs(delta)
     )
     return float(wrap_phase(2.0 * np.arctan(x)))
-
-
-def jump_phase_probe(delta: float, n: int = 1) -> float:
-    """Loop phase at which the probe output phase jumps, at the critical depth."""
-    return _jump_phase(delta, n, -1.0)
-
-
-def jump_phase_signal(delta: float, n: int = 1) -> float:
-    """Loop phase at which the signal output phase jumps, at the critical depth."""
-    return _jump_phase(delta, n, +1.0)
 
 
 def solve_jump(delta: float, n: int = 1) -> JumpSolution:
@@ -87,9 +78,9 @@ def solve_jump(delta: float, n: int = 1) -> JumpSolution:
     return JumpSolution(
         order=n,
         delta=delta,
-        critical_depth=critical_depth(delta, n),
-        probe_jump_phase=jump_phase_probe(delta, n),
-        signal_jump_phase=jump_phase_signal(delta, n),
+        critical_depth=critical_depth(delta, n),  # the one (delta, n) check, before the phases
+        probe_jump_phase=_jump_phase(delta, n, -1.0),
+        signal_jump_phase=_jump_phase(delta, n, +1.0),
     )
 
 
@@ -161,9 +152,11 @@ def verify_jump(solution: JumpSolution, n_samples: int = DEFAULT_CURVE_SAMPLES) 
     solution.critical_depth, delta=solution.delta), n_samples)`, whose
     effective detuning is delta itself.  Only the probe ratio is evaluated
     (pinned to exactly 1 at zeta = 0), and the uniform grid it builds is not
-    re-checked.  Raises ValueError for n_samples < 2, for a critical depth
-    that is not finite and > 0, and for a non-finite detuning or phase.
+    re-checked.  Raises ValueError for a non-integer n_samples or one < 2,
+    for a critical depth that is not finite and > 0, and for a non-finite
+    detuning or phase.
     """
+    n_samples = as_integer("n_samples", n_samples)
     if n_samples < 2:
         raise ValueError(f"n_samples must be >= 2, got {n_samples}")
     depth, delta, phase = solution.critical_depth, solution.delta, solution.probe_jump_phase

@@ -3,15 +3,17 @@
 The weak probe and signal obey a linear two-field propagation problem once
 the atomic coherences are eliminated adiabatically.  This module evaluates
 the resulting closed forms: the first-order coherences driven by a frozen
-field pair, the general propagation solution for arbitrary drive magnitudes,
-the compact balanced-case solution parameterized by the loop phase phi_r,
-and transmission/phase extraction from terminal field ratios.
+field pair, the transfer matrix H for arbitrary drive magnitudes (the one
+entry for dephased or imbalanced media), the compact balanced-case solution
+parameterized by the loop phase phi_r, and transmission/phase extraction
+from terminal field ratios.
 
 One optical-Bloch-equation matrix A (`_obe_matrix`) and one 3x3 inverse
 (`_adjugate`) sit behind the coherences, the transfer matrix and the spectral
 twin of `dleit.dynamics`, for any gamma21 >= 0.  One balanced-entry check
 (`_require_phi_r_form`: gamma21 = 0, a finite phi_r, |Omega_c| = |Omega_d|)
-guards the phi_r-parameterized entries `propagate_balanced` and `trace_curve`.
+guards the phi_r-parameterized entries `propagate_balanced` and
+`trace_curve`, the balanced tracer.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FieldPair, MediumParams
+from .core import FieldPair, MediumParams, as_integer
 
 #: Magnitudes below this are treated as a vanished field for phase bookkeeping.
 ZERO_FIELD_TOL = 1e-9
@@ -54,10 +56,6 @@ class CoherenceState:
                     f"|{name}| > 0.5: fields are outside the perturbative regime"
                 )
 
-    def as_array(self) -> np.ndarray:
-        """Coherences ordered (rho41, rho31, rho21), matching the dynamics state."""
-        return np.array([self.rho41, self.rho31, self.rho21], dtype=complex)
-
 
 @dataclass(frozen=True)
 class PropagationCurve:
@@ -89,12 +87,12 @@ def _require_phi_r_form(phi_r: float, params: MediumParams) -> None:
     """The one balanced-entry check: gamma21 = 0, finite phi_r and |Omega_c| = |Omega_d|."""
     if params.gamma21 != 0.0:
         raise ValueError("balanced closed form requires gamma21 = 0; for dephased media "
-                         "use propagate_general or trace_curve(incident=...)")
+                         "use propagate_general or transfer_matrix")
     if not math.isfinite(phi_r):
         raise ValueError(f"phi_r must be finite, got {phi_r}")
     if not params.is_balanced:
         raise ValueError("balanced closed form requires |omega_c| = |omega_d|; for imbalanced "
-                         "drives use propagate_general or trace_curve(incident=...)")
+                         "drives use propagate_general or transfer_matrix")
 
 
 def _obe_matrix(delta: float, gamma21: float, omega_c: complex, omega_d: complex) -> np.ndarray:
@@ -251,40 +249,24 @@ def propagate_balanced(
 
 
 def trace_curve(
-    phi_r: float,
-    params: MediumParams,
-    n_samples: int = DEFAULT_CURVE_SAMPLES,
-    incident: FieldPair | None = None,
+    phi_r: float, params: MediumParams, n_samples: int = DEFAULT_CURVE_SAMPLES
 ) -> PropagationCurve:
-    """Sample the field ratios on a uniform zeta grid from 0 to alpha.
+    """Balanced field ratios at loop phase `phi_r` on a uniform zeta grid from 0 to alpha.
 
-    Without `incident`, the balanced closed form at loop phase `phi_r` is
-    used (requires |Omega_c| = |Omega_d| and gamma21 = 0).  With `incident`,
-    the transfer matrix is traced for any gamma21 and normalized by the
-    incident fields, which must both be nonzero for the ratios to exist;
-    `phi_r` is then ignored in favor of the phases carried by the fields.
-
-    alpha = 0 yields the single-point identity curve.
+    Requires |Omega_c| = |Omega_d| and gamma21 = 0; fields in a dephased or
+    imbalanced medium are `transfer_matrix(params, zeta) @ (Omega_p, Omega_s)`.
+    alpha = 0 yields the single-point identity curve.  A non-integer
+    n_samples or one < 2 raises ValueError.
     """
+    n_samples = as_integer("n_samples", n_samples)
     if n_samples < 2:
         raise ValueError(f"n_samples must be >= 2, got {n_samples}")
-    if incident is None:
-        _require_phi_r_form(phi_r, params)
+    _require_phi_r_form(phi_r, params)
     if params.alpha == 0.0:
         one = np.array([1.0 + 0.0j])
         return PropagationCurve(np.array([0.0]), one, one.copy())
     zeta = np.linspace(0.0, params.alpha, n_samples)
-    if incident is None:
-        probe, signal = balanced_ratios(zeta, params.xi.real, float(phi_r))
-    else:
-        if abs(incident.omega_p) == 0.0 or abs(incident.omega_s) == 0.0:
-            raise ValueError(
-                "curve ratios need nonzero incident fields; evaluate "
-                "propagate_general directly for the generation case"
-            )
-        fields = transfer_matrix(params, zeta) @ np.array([incident.omega_p, incident.omega_s])
-        probe = fields[:, 0] / incident.omega_p
-        signal = fields[:, 1] / incident.omega_s
+    probe, signal = balanced_ratios(zeta, params.xi.real, float(phi_r))
     # The analytic ratios at zeta = 0 are identically 1; pin the boundary
     # sample so the curve invariant holds exactly in floating point.
     probe[0] = 1.0
@@ -307,24 +289,14 @@ def transmission_and_phase(ratio_end: complex) -> tuple[float, float]:
     return abs(ratio) ** 2, float(np.angle(ratio))
 
 
-def unwrapped_phase(curve: PropagationCurve) -> tuple[np.ndarray, np.ndarray]:
-    """Continuously unwrapped probe and signal phases along the curve.
-
-    Terminal entries give the accumulated phase shift, which distinguishes
-    +pi from -pi endpoints that the principal value cannot.
-    """
-    probe = np.unwrap(np.angle(curve.probe_ratio))
-    signal = np.unwrap(np.angle(curve.signal_ratio))
-    return probe, signal
-
-
 def accumulated_phase(alpha, delta, phi_r):
     """Closed-form accumulated probe and signal phases at optical depth `alpha`.
 
-    The terminal entries of `unwrapped_phase` on a balanced curve, unsampled.
-    The probe ratio a + b*e^{kappa*zeta}, with a, b = (1 +- e^{-i*phi_r})/2
-    and kappa = -i/(2*(i + delta)), keeps its phase within pi/2 of its leading
-    term's: b*e^{kappa*zeta} up to zeta* = ln(|a|/|b|)/Re kappa, then a plus
+    The end points of the continuously unwrapped phases along a balanced
+    `trace_curve`, which tell +pi from -pi where the principal value cannot,
+    without sampling.  The probe ratio a + b*e^{kappa*zeta}, with
+    a, b = (1 +- e^{-i*phi_r})/2 and kappa = -i/(2*(i + delta)), keeps its
+    phase within pi/2 of its leading term's: b*e^{kappa*zeta} up to zeta* = ln(|a|/|b|)/Re kappa, then a plus
     the turns made by zeta*, onto which the principal phase is lifted
     (derivation in README.md).  Broadcasts over `phi_r`; on a path through a
     field zero (a phase jump) the branch is arbitrary.

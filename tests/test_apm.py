@@ -15,8 +15,9 @@ from dleit.apm import (
     optimize_detuning_sweep,
     phi_r_for_half_pi_shift,
     phi_r_for_pi_shift,
-    scan_local_maxima,
     _TARGET_RAYS,
+    _band_maxima,
+    _operating_point,
     _pinned_phase,
     _ray_solutions,
     _reduce_roots,
@@ -30,7 +31,7 @@ from dleit.core import (
     wrap_signed,
 )
 from dleit.dynamics import _peak_transmission, amplification_sweep, peak_transmission
-from dleit.phase_jump import critical_depth, jump_phase_probe
+from dleit.phase_jump import solve_jump
 from dleit.steady_state import (
     ZeroFieldError,
     _decay_kernel,
@@ -155,9 +156,9 @@ def test_contrast_vanishes_on_resonance_at_zero_loop_phase():
 
 
 def test_contrast_raises_when_probe_is_extinguished():
-    delta = 16.5
+    sol = solve_jump(16.5, 1)
     with pytest.raises(ZeroFieldError):
-        apm_contrast(critical_depth(delta, 1), delta, jump_phase_probe(delta, 1))
+        apm_contrast(sol.critical_depth, sol.delta, sol.probe_jump_phase)
 
 
 def test_operating_point_bundles_fields():
@@ -251,8 +252,17 @@ def test_optimize_detuning_matches_dense_scan():
         assert op.transmission_with_signal >= scanned[k] - 1e-12
 
 
+def band_points(alpha, target):
+    """Every band maximum of one depth's default scan as an operating point, by
+    increasing detuning: the one-depth scan behind `optimize_detuning_sweep`."""
+    _, deltas = _band_maxima([alpha], target, DEFAULT_DELTA_RANGE, DEFAULT_DELTA_TOL, DEFAULT_SCAN_STEP)
+    phi, transmission = _ray_solutions(alpha, deltas, target)
+    points = zip(deltas.tolist(), phi.tolist(), transmission.tolist())
+    return [_operating_point(alpha, d, target, p, t) for d, p, t in points]
+
+
 def test_scan_reports_every_feasible_band_maximum():
-    points = scan_local_maxima(100.0, "pi")
+    points = band_points(100.0, "pi")
     deltas = [p.delta for p in points]
     assert len(points) >= 2
     assert deltas == sorted(deltas)
@@ -269,7 +279,7 @@ def test_scan_reports_every_feasible_band_maximum():
 def test_scan_marks_extinguished_band_with_nan_contrast():
     # The lowest-detuning feasible sliver at this depth pins the probe right
     # at a critical point; its output phase and contrast are undefined.
-    points = scan_local_maxima(100.0, "pi")
+    points = band_points(100.0, "pi")
     assert any(
         np.isnan(p.apm_contrast) and np.isnan(p.phase_with) and p.transmission_with_signal < 1e-12
         for p in points
@@ -465,7 +475,7 @@ def test_apm_entry_points_reject_non_finite_inputs(bad, target):
         lambda: optimize_detuning(100.0, target, delta_range=(0.5, bad)),
         lambda: optimize_detuning(100.0, target, delta_range=(bad, 60.0)),
         lambda: optimize_detuning(100.0, target, tol=bad),
-        lambda: scan_local_maxima(100.0, target, scan_step=bad),
+        lambda: optimize_detuning_sweep([100.0], target, scan_step=bad),
         lambda: operating_point(bad, 16.5, target),
         lambda: operating_point(100.0, bad, target),
         lambda: solver(bad, 16.5),

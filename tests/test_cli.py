@@ -7,11 +7,12 @@ import math
 import numpy as np
 import pytest
 
+from conftest import unwrapped_phase
 from dleit.cli import _parse_pair, _parse_sweep, build_parser, main
 from dleit.core import MediumParams
 from dleit.dynamics import PulseShape, SimGrid, simulate
 from dleit.phase_jump import critical_depth, detect_zero_crossing
-from dleit.steady_state import trace_curve, unwrapped_phase
+from dleit.steady_state import trace_curve
 
 
 def run_csv(tmp_path, name, argv):

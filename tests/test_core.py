@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import dleit
 from dleit.core import (
     FieldPair,
     MediumParams,
@@ -14,6 +15,28 @@ from dleit.core import (
 
 angles = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
 magnitudes = st.floats(min_value=0.05, max_value=5.0, allow_nan=False)
+
+#: The public surface: one entry per physical quantity, and the names the
+#: CLI, the scripts and the benchmark reach.
+PUBLIC_NAMES = [
+    "AmplificationResult", "ApmOperatingPoint", "CoherenceState", "FieldPair",
+    "InfeasibleError", "JumpSolution", "MediumParams", "NumericalInstability",
+    "PerturbativeCheck", "PropagationCurve", "PulseShape", "PulseSimResult",
+    "SimGrid", "ZeroFieldError", "accumulated_phase", "amplification_sweep",
+    "apm_contrast", "balanced_components", "balanced_ratios", "coherences_steady",
+    "critical_depth", "decay_factor", "detect_zero_crossing", "operating_point",
+    "optimize_amplification", "optimize_detuning", "optimize_detuning_sweep",
+    "peak_transmission", "phi_r_for_half_pi_shift", "phi_r_for_pi_shift",
+    "propagate_balanced", "propagate_general", "simulate", "solve_jump",
+    "steady_cw_output", "step_fields", "trace_curve", "transfer_matrix",
+    "transmission_and_phase", "validate_perturbative", "verify_jump",
+    "wrap_phase", "wrap_signed", "zero_crossings",
+]
+
+
+def test_public_surface_is_pinned():
+    assert dleit.__all__ == PUBLIC_NAMES
+    assert all(callable(getattr(dleit, name)) for name in PUBLIC_NAMES)
 
 
 def test_wrap_phase_range_and_values():

@@ -18,6 +18,7 @@ from dleit.core import (
     FieldPair,
     MediumParams,
     detuning_grid,
+    wrap_phase,
 )
 from dleit.dynamics import (
     FIELD_BLOWUP_FACTOR,
@@ -32,7 +33,6 @@ from dleit.dynamics import (
     _propagators,
     _trapezoid,
     amplification_sweep,
-    optimal_relative_phase,
     optimize_amplification,
     peak_transmission,
     simulate,
@@ -41,6 +41,7 @@ from dleit.dynamics import (
 )
 from dleit.steady_state import (
     _field_ratio,
+    _mode_weights,
     balanced_components,
     coherences_steady,
     decay_factor,
@@ -177,7 +178,8 @@ def test_propagator_update_relaxes_to_steady_state(gamma21):
     # roughly 0.25 Gamma, so t = 75 leaves it below 1e-9
     for _ in range(1500):
         x = propagator_step(x, fields, params, 0.05)
-    ref = coherences_steady(params, fields).as_array()
+    state = coherences_steady(params, fields)
+    ref = np.array([state.rho41, state.rho31, state.rho21])
     assert np.all(np.abs(x - ref) < 1e-8)
 
 
@@ -416,6 +418,9 @@ def test_simulate_is_bit_identical_to_plain_fused_loop(n_z, map_stride, params, 
     ):
         assert transmission == _energy(out, times) / _energy(inp, times)
         assert delay == _centroid(out, times) - _centroid(inp, times)
+    e_in, e_out = (_energy(p, times) + _energy(s, times)
+                   for p, s in ((res.input_probe, res.input_signal), (probe_out, signal_out)))
+    assert res.energy_balance == e_out / e_in
     assert np.array_equal(res.map_times, times[steps])
     assert np.array_equal(res.coherence_map, states[:, :3])
     assert np.array_equal(res.field_map_signal, states[:, 3])
@@ -452,6 +457,7 @@ def assert_bit_identical(res, ref):
     assert res.energy_transmission_signal == ref.energy_transmission_signal
     assert res.group_delay_probe == ref.group_delay_probe
     assert res.group_delay_signal == ref.group_delay_signal
+    assert res.energy_balance == ref.energy_balance
 
 
 def assert_twin_agrees(res, ref, t_final):
@@ -466,6 +472,7 @@ def assert_twin_agrees(res, ref, t_final):
         assert getattr(res, f"group_delay_{field}") == pytest.approx(
             getattr(ref, f"group_delay_{field}"), abs=1e-9 * t_final / min(1.0, energy)
         )
+    assert res.energy_balance == pytest.approx(ref.energy_balance, rel=1e-9, abs=1e-12)
 
 
 class RouteLog(logging.Handler):
@@ -982,6 +989,26 @@ def test_single_ladder_transparency_limit():
     assert abs(route.omega_p / AMP) ** 2 == pytest.approx(expected, rel=1e-6)
 
 
+def test_energy_balance_flags_a_coarse_grid_gain(caplog):
+    # The ladder of the SimGrid docstring: a passive medium cannot pass more
+    # energy than it receives, yet the scheme passes 1.72 of it at dt = 0.2.
+    # That run logs one WARNING and raises nothing; at dt = 0.05 the balance
+    # is 0.052 and nothing is logged.
+    caplog.set_level(logging.WARNING, logger="dleit")
+    params = MediumParams(alpha=200.0, omega_d=1e-6)
+    probe, dark = PulseShape.gaussian(AMP, 0.0, 20.0), PulseShape.gaussian(0.0, 0.0, 20.0)
+    coarse = simulate(params, probe, dark, SimGrid(n_z=400, dt=0.2, t_final=200.0))
+    assert coarse.energy_balance == pytest.approx(1.7193, abs=1e-4)
+    assert coarse.energy_balance > 1.0 + dynamics.PASSIVITY_TOL
+    (record,) = caplog.records
+    assert record.levelno == logging.WARNING and record.name == "dleit.dynamics"
+    assert record.getMessage().startswith("simulate: energy_balance 1.719 exceeds")
+    caplog.clear()
+    fine = simulate(params, probe, dark, SimGrid(n_z=400, dt=0.05, t_final=200.0))
+    assert fine.energy_balance == pytest.approx(0.0523, abs=1e-4)
+    assert caplog.records == []
+
+
 def test_simulate_is_linear_in_the_inputs():
     params = MediumParams(alpha=10.0, delta=3.0, omega_d=np.exp(0.7j))
     grid = SimGrid(n_z=64, dt=0.05, t_final=60.0)
@@ -1150,16 +1177,16 @@ def test_peak_transmission_scan_matches_scalar_loop(alpha):
     np.testing.assert_allclose(peak_transmission(alpha, grid), scalar, rtol=0.0, atol=1e-12)
 
 
-def test_optimal_relative_phase_attains_the_peak():
+def test_working_point_phase_attains_the_peak():
+    # The signal carries exp(+i*phi_r) and the probe exp(-i*phi_r), so the
+    # probe's optimum is the signal's, negated.
     alpha, delta = 100.0, 34.2
     dark, bright = balanced_components(alpha, delta)
     peak = peak_transmission(alpha, delta)
-    phi_s = optimal_relative_phase(alpha, delta, "signal")
-    phi_p = optimal_relative_phase(alpha, delta, "probe")
+    phi_s = dynamics._working_point(alpha, delta).phi_r_opt
+    phi_p = wrap_phase(-phi_s)
     assert abs(dark + bright * np.exp(1j * phi_s)) ** 2 == pytest.approx(peak)
     assert abs(dark + bright * np.exp(-1j * phi_p)) ** 2 == pytest.approx(peak)
-    with pytest.raises(ValueError):
-        optimal_relative_phase(alpha, delta, "coupling")
 
 
 def test_optimize_amplification_zero_depth():
@@ -1213,13 +1240,14 @@ def test_amplification_sweep():
 @given(alpha=st.floats(min_value=0.5, max_value=200.0), delta=st.floats(min_value=0.5, max_value=60.0))
 def test_working_point_takes_one_decay_factor(alpha, delta):
     # The loop phase and both transmissions come from one evaluation of the
-    # decay factor E: the phase is optimal_relative_phase's, and each
+    # decay factor E: the phase aligns E's two mode weights, and each
     # transmission is that of E's balanced ratio at it.  A second evaluation
     # by another numpy path differs in the last bit at about 3 points in 10.
     point = dynamics._working_point(alpha, delta)
     env = decay_factor(alpha, delta)
     phase = np.exp(-1j * point.phi_r_opt)
-    assert point.phi_r_opt == optimal_relative_phase(alpha, delta, "signal")
+    dark, bright = _mode_weights(env)
+    assert point.phi_r_opt == wrap_phase(np.angle(dark) - np.angle(bright))
     assert point.probe_transmission == abs(_field_ratio(env, phase)) ** 2
     assert point.signal_transmission == abs(_field_ratio(env, np.conj(phase))) ** 2
 

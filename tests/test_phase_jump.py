@@ -6,15 +6,16 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+from conftest import unwrapped_phase
+from dleit import phase_jump
 from dleit.core import MediumParams, wrap_phase
 from dleit.phase_jump import (
     GRID_WINDOW_FRACTION,
     JumpSolution,
     ZERO_MAGNITUDE_TOL,
+    _jump_phase,
     critical_depth,
     detect_zero_crossing,
-    jump_phase_probe,
-    jump_phase_signal,
     solve_jump,
     verify_jump,
     zero_crossings,
@@ -23,7 +24,6 @@ from dleit.steady_state import (
     PropagationCurve,
     propagate_balanced,
     trace_curve,
-    unwrapped_phase,
 )
 
 detunings = st.floats(min_value=0.5, max_value=60.0)
@@ -38,58 +38,66 @@ def test_critical_depth_values():
     assert critical_depth(-16.5, 1) == critical_depth(16.5, 1)
 
 
+#: Jump orders that are not positive odd integers: even, non-positive,
+#: non-integral (an integral float included) and non-finite.
+BAD_ORDERS = (0, 2, -1, 4, 3.5, 1.0, np.nan, np.inf)
+
+
 def test_critical_depth_rejects_invalid_inputs():
     with pytest.raises(ValueError):
         critical_depth(0.0, 1)
-    for bad_order in (0, 2, -1, 4):
-        with pytest.raises(ValueError):
+    for bad_order in BAD_ORDERS:
+        with pytest.raises(ValueError, match="jump order"):
             critical_depth(5.0, bad_order)
 
 
 def test_jump_phase_values():
-    assert jump_phase_probe(16.5, 1) == pytest.approx(4.617333, abs=1e-5)
-    assert jump_phase_signal(16.5, 1) == pytest.approx(1.665853, abs=1e-5)
+    sol = solve_jump(16.5, 1)
+    assert sol.probe_jump_phase == pytest.approx(4.617333, abs=1e-5)
+    assert sol.signal_jump_phase == pytest.approx(1.665853, abs=1e-5)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_phase_jump_rejects_non_finite_detuning(bad):
-    for call in (critical_depth, jump_phase_probe, jump_phase_signal, solve_jump):
+    for call in (critical_depth, solve_jump):
         with pytest.raises(ValueError, match="finite"):
             call(bad)
 
 
 def test_jump_phase_limits_at_large_detuning():
-    assert jump_phase_probe(1e9, 1) == pytest.approx(3 * np.pi / 2, abs=1e-6)
-    assert jump_phase_signal(1e9, 1) == pytest.approx(np.pi / 2, abs=1e-6)
+    sol = solve_jump(1e9, 1)
+    assert sol.probe_jump_phase == pytest.approx(3 * np.pi / 2, abs=1e-6)
+    assert sol.signal_jump_phase == pytest.approx(np.pi / 2, abs=1e-6)
 
 
 def test_jump_phase_third_order():
     # sin(3*pi/2) flips the sign of the atan argument.
     expected = wrap_phase(2 * np.arctan(np.exp(3 * np.pi / 33.0)))
-    assert jump_phase_probe(16.5, 3) == pytest.approx(float(expected), rel=1e-12)
+    assert solve_jump(16.5, 3).probe_jump_phase == pytest.approx(float(expected), rel=1e-12)
 
 
 def test_jump_phase_rejects_invalid_inputs():
+    # solve_jump(16.5, 3.5) once returned a critical depth of 182.09, and a
+    # NaN or infinite order silent NaN or inf phases.
     with pytest.raises(ValueError):
-        jump_phase_probe(0.0, 1)
-    with pytest.raises(ValueError):
-        jump_phase_signal(5.0, 2)
+        solve_jump(0.0, 1)
+    for bad_order in BAD_ORDERS:
+        with pytest.raises(ValueError, match="jump order"):
+            solve_jump(16.5, bad_order)
 
 
 @given(delta=detunings, n=orders)
 def test_jump_phases_sum_to_full_turn(delta, n):
-    total = jump_phase_probe(delta, n) + jump_phase_signal(delta, n)
+    sol = solve_jump(delta, n)
+    total = sol.probe_jump_phase + sol.signal_jump_phase
     assert min(abs(total), abs(total - 2 * np.pi), abs(total - 4 * np.pi)) < 1e-9
 
 
 @given(delta=detunings, n=orders)
 def test_negative_detuning_swaps_roles(delta, n):
-    assert jump_phase_probe(-delta, n) == pytest.approx(
-        jump_phase_signal(delta, n), abs=1e-12
-    )
-    assert jump_phase_signal(-delta, n) == pytest.approx(
-        jump_phase_probe(delta, n), abs=1e-12
-    )
+    sol, mirrored = solve_jump(delta, n), solve_jump(-delta, n)
+    assert mirrored.probe_jump_phase == pytest.approx(sol.signal_jump_phase, abs=1e-12)
+    assert mirrored.signal_jump_phase == pytest.approx(sol.probe_jump_phase, abs=1e-12)
 
 
 def test_solve_jump_bundles_consistently():
@@ -97,8 +105,16 @@ def test_solve_jump_bundles_consistently():
     assert sol.order == 1
     assert sol.delta == 16.5
     assert sol.critical_depth == critical_depth(16.5, 1)
-    assert sol.probe_jump_phase == jump_phase_probe(16.5, 1)
-    assert sol.signal_jump_phase == jump_phase_signal(16.5, 1)
+    assert sol.probe_jump_phase == _jump_phase(16.5, 1, -1.0)
+    assert sol.signal_jump_phase == _jump_phase(16.5, 1, +1.0)
+
+
+def test_solve_jump_checks_its_inputs_once(monkeypatch):
+    calls = []
+    check = phase_jump._check_jump
+    monkeypatch.setattr(phase_jump, "_check_jump", lambda *args: calls.append(args) or check(*args))
+    solve_jump(16.5, 3)
+    assert calls == [(16.5, 3)]
 
 
 @given(delta=detunings, n=st.sampled_from([1, 3]))
@@ -107,7 +123,7 @@ def test_probe_vanishes_at_critical_point(delta, n):
     # must extinguish the probe to machine precision.
     alpha_c = critical_depth(delta, n)
     params = MediumParams(alpha=alpha_c, delta=delta)
-    probe, _ = propagate_balanced(jump_phase_probe(delta, n), params, alpha_c)
+    probe, _ = propagate_balanced(solve_jump(delta, n).probe_jump_phase, params, alpha_c)
     assert abs(probe) < 1e-9
 
 
@@ -252,8 +268,9 @@ def test_verify_jump_equals_traced_zero_crossing(delta, sign, n, samples):
 
 
 def test_verify_jump_validates_its_inputs():
-    with pytest.raises(ValueError, match="n_samples"):
-        verify_jump(solve_jump(16.5), 1)
+    for bad_samples in (1, 100.5, 2.0):
+        with pytest.raises(ValueError, match="n_samples"):
+            verify_jump(solve_jump(16.5), bad_samples)
     sol = solve_jump(1e200)  # alpha_c overflows to inf
     assert sol.critical_depth == math.inf
     good = solve_jump(16.5)

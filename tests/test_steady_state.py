@@ -14,10 +14,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import needs_scipy
+from conftest import needs_scipy, unwrapped_phase
 from dleit.apm import apm_contrast
 from dleit.core import FieldPair, MediumParams, wrap_signed
-from dleit.dynamics import _expm, optimal_relative_phase, peak_transmission, steady_cw_output
+from dleit.dynamics import _expm, _working_point, peak_transmission, steady_cw_output
 from dleit.phase_jump import solve_jump
 from dleit.steady_state import (
     CoherenceState,
@@ -33,7 +33,6 @@ from dleit.steady_state import (
     trace_curve,
     transfer_matrix,
     transmission_and_phase,
-    unwrapped_phase,
 )
 
 
@@ -127,7 +126,7 @@ def test_coherences_match_linear_solve_oracle():
         )
         state = coherences_steady(params, fields)
         expected = oracle_coherences(params, fields)
-        got = state.as_array()
+        got = np.array([state.rho41, state.rho31, state.rho21])
         assert np.max(np.abs(got - expected)) < 1e-14
 
 
@@ -230,9 +229,6 @@ def test_balanced_entry_points_reject_non_finite_loop_phase(bad):
     ):
         with pytest.raises(ValueError, match="phi_r must be finite"):
             call()
-    # With incident fields the general path takes its phases from them.
-    curve = trace_curve(bad, params, n_samples=8, incident=FieldPair(0.01, 0.01))
-    assert np.all(np.isfinite(curve.probe_ratio))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -240,10 +236,10 @@ def test_balanced_entry_points_reject_non_finite_loop_phase(bad):
     decay_factor,
     balanced_components,
     peak_transmission,
-    optimal_relative_phase,
+    _working_point,
     lambda alpha, delta: apm_contrast(alpha, delta, 1.0),
 ], ids=["decay_factor", "balanced_components", "peak_transmission",
-        "optimal_relative_phase", "apm_contrast"])
+        "working_point", "apm_contrast"])
 def test_balanced_closed_forms_reject_non_finite_depth_or_detuning(entry, bad):
     # Every entry point runs decay_factor's one check, which must raise rather
     # than return NaN (or, for delta = +-inf, a silent factor of 1); one bad
@@ -301,11 +297,46 @@ def test_propagate_general_matches_ode_oracle():
         assert abs(out.omega_s - ref_s) / scale < 1e-7
 
 
-def field_generator(params: MediumParams) -> np.ndarray:
-    """The adiabatic generator G = 1/4*C*A^-1*B of the fields' d/dzeta, (probe, signal) order."""
+def field_generator(params: MediumParams, omega: float = 0.0) -> np.ndarray:
+    """The generator G(omega) = 1/4*C*(A - i*omega)^-1*B of the fields' d/dzeta at
+    frequency omega, (probe, signal) order; omega = 0 is the adiabatic one."""
     b_map = np.array([[0.0, 1.0], [1.0, 0.0], [0.0, 0.0]], dtype=complex)
     c_map = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]], dtype=complex)
-    return 0.25 * c_map @ np.linalg.solve(bloch_matrix(params), b_map)
+    return 0.25 * c_map @ np.linalg.solve(bloch_matrix(params) - 1j * omega * np.eye(3), b_map)
+
+
+#: Largest eigenvalue of G + G^H that rounding leaves, relative to max|G|.
+#: Measured: at most 9.5e-14 over 200,000 random draws of these ranges (half
+#: at gamma21 = 0), and 30,000 hypothesis examples stayed within this bound.
+PASSIVE_ROUNDING = 2e-13
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    delta=st.floats(min_value=-60.0, max_value=60.0),
+    gamma21=st.one_of(st.just(0.0), st.floats(min_value=1e-6, max_value=1.0)),
+    mag_c=st.floats(min_value=0.01, max_value=5.0),
+    mag_d=st.floats(min_value=0.01, max_value=5.0),
+    phase_c=st.floats(min_value=0.0, max_value=2 * np.pi),
+    phase_d=st.floats(min_value=0.0, max_value=2 * np.pi),
+    omega=st.one_of(st.just(0.0), st.floats(min_value=-1e3, max_value=1e3)),
+)
+@example(delta=-59.99, gamma21=0.0, mag_c=0.1, mag_d=0.013, phase_c=1.0467, phase_d=0.0, omega=1e-12)
+def test_medium_is_passive_at_every_frequency(delta, gamma21, mag_c, mag_d, phase_c, phase_d, omega):
+    # G + G^H <= 0: the two weak fields together never gain energy along zeta
+    # at any frequency, so |H(omega)| <= 1 and, by causality, a pulse pair
+    # leaves with at most the energy it brought (what `simulate`'s
+    # energy_balance checks).  With X = (A - i*omega)^-1, G + G^H =
+    # -1/4*(C X) diag(1, 1, gamma21) (C X)^H, as A + A^H = -diag(1, 1, gamma21).
+    params = MediumParams(
+        alpha=1.0,
+        delta=delta,
+        gamma21=gamma21,
+        omega_c=mag_c * np.exp(1j * phase_c),
+        omega_d=mag_d * np.exp(1j * phase_d),
+    )
+    g = field_generator(params, omega)
+    assert np.linalg.eigvalsh(g + g.conj().T).max() <= PASSIVE_ROUNDING * np.abs(g).max()
 
 
 def oracle_transfer(params: MediumParams, depth: float) -> np.ndarray:
@@ -415,12 +446,14 @@ def test_transfer_matrix_special_points():
     assert_transfer_matches_oracle(degenerate, np.array([0.0, 1.0, 37.5, 100.0]))
     # At large depth the decaying mode is gone.
     assert_transfer_matches_oracle(MediumParams(alpha=5000.0), np.array([5000.0]))
-    # trace_curve(incident=...) follows H in a dephased, imbalanced medium.
+    # The field ratios of one broadcast H over a uniform grid follow the
+    # oracle in a dephased, imbalanced medium.
     dephased = MediumParams(alpha=40.0, delta=-3.0, gamma21=0.2, omega_c=1.5, omega_d=0.5j)
     incident = np.array([0.01, 0.02j])
-    curve = trace_curve(0.0, dephased, n_samples=5, incident=FieldPair(*incident))
-    for zeta, probe, signal in zip(curve.zeta_grid[1:], curve.probe_ratio[1:], curve.signal_ratio[1:]):
-        expected = oracle_transfer(dephased, zeta) @ incident / incident
+    zeta = np.linspace(0.0, dephased.alpha, 5)
+    ratios = transfer_matrix(dephased, zeta) @ incident / incident
+    for depth, (probe, signal) in zip(zeta[1:], ratios[1:]):
+        expected = oracle_transfer(dephased, depth) @ incident / incident
         assert abs(probe - expected[0]) <= 1e-12 and abs(signal - expected[1]) <= 1e-12
     # steady_cw_output is H applied to the boundary fields.
     params = MediumParams(alpha=30.0, delta=7.0, omega_d=np.exp(1.2j))
@@ -636,27 +669,27 @@ def test_trace_curve_resonant_opaque_is_real_decay():
     assert np.max(np.abs(curve.probe_ratio.real - expected)) < 1e-12
 
 
-def test_trace_curve_general_path_matches_balanced():
+def test_transfer_matrix_matches_balanced_curve():
     alpha, delta, phi_r = 40.0, 8.0, 2.3
     params = MediumParams(
         alpha=alpha, delta=delta, omega_c=1.0, omega_d=np.exp(1j * phi_r)
     )
-    incident = FieldPair(0.01, 0.01)
-    general = trace_curve(0.0, params, n_samples=64, incident=incident)
+    incident = np.array([0.01, 0.01])
+    zeta = np.linspace(0.0, alpha, 64)
+    probe, signal = (transfer_matrix(params, zeta) @ incident / incident).T
     balanced = trace_curve(phi_r, MediumParams(alpha=alpha, delta=delta), n_samples=64)
-    assert np.max(np.abs(general.probe_ratio - balanced.probe_ratio)) < 1e-12
-    assert np.max(np.abs(general.signal_ratio - balanced.signal_ratio)) < 1e-12
+    assert np.max(np.abs(probe - balanced.probe_ratio)) < 1e-12
+    assert np.max(np.abs(signal - balanced.signal_ratio)) < 1e-12
 
 
 def test_trace_curve_input_validation():
     params = MediumParams(alpha=10.0)
-    with pytest.raises(ValueError, match="n_samples"):
-        trace_curve(1.0, params, n_samples=1)
+    for bad_samples in (1, 2.5, 2.0):
+        with pytest.raises(ValueError, match="n_samples"):
+            trace_curve(1.0, params, n_samples=bad_samples)
     imbalanced = MediumParams(alpha=10.0, omega_c=1.0, omega_d=0.3)
-    with pytest.raises(ValueError, match="incident"):
+    with pytest.raises(ValueError, match="transfer_matrix"):
         trace_curve(1.0, imbalanced)
-    with pytest.raises(ValueError, match="nonzero incident"):
-        trace_curve(1.0, params, incident=FieldPair(0.01, 0.0))
 
 
 def test_transmission_and_phase_examples():
@@ -678,12 +711,11 @@ def test_field_gradient_matches_coherence_sources():
     params, incident = balanced_realization(alpha, delta, phi_r, amp)
 
     def max_defect(n_samples):
-        curve = trace_curve(0.0, params, n_samples=n_samples, incident=incident)
-        probe = amp * curve.probe_ratio
-        signal = amp * curve.signal_ratio
-        h = curve.zeta_grid[1] - curve.zeta_grid[0]
+        zeta = np.linspace(0.0, alpha, n_samples)
+        probe, signal = (transfer_matrix(params, zeta) @ [incident.omega_p, incident.omega_s]).T
+        h = zeta[1] - zeta[0]
         worst = 0.0
-        for k in range(1, len(curve) - 1, 7):
+        for k in range(1, n_samples - 1, 7):
             state = coherences_steady(params, FieldPair(probe[k], signal[k]))
             dp = (probe[k + 1] - probe[k - 1]) / (2 * h)
             ds = (signal[k + 1] - signal[k - 1]) / (2 * h)
