@@ -95,9 +95,8 @@ INSTABILITY_CHECK_STRIDE = 25
 #: A field exceeding this multiple of the peak input aborts the run.
 FIELD_BLOWUP_FACTOR = 10.0
 
-#: Largest excess of `energy_balance` over 1 that passes without a WARNING.
-#: The medium is passive for the two weak fields together, so only the
-#: scheme's error can carry the balance past 1.
+#: Largest excess of `energy_balance` over 1 that passes without a WARNING;
+#: the medium is passive, so only the scheme's error can pass 1.
 PASSIVITY_TOL = 1e-3
 
 #: Largest wrap-zone l1 norm of the spectral route's impulse response: the
@@ -137,9 +136,8 @@ class SimGrid:
     dt up to t_final (both in 1/Gamma).  Coarse grids can make a passive
     medium gain energy: alpha = 200, Omega_d = 1e-6 and a gaussian probe on
     [0, 20] pass 1.83 of its energy at n_z = 400, dt = 0.2, and 0.166 at
-    dt = 0.05 (1.83 at n_z = 1600, dt = 0.2).  `simulate` logs a WARNING
-    when a run's `energy_balance` passes 1 + PASSIVITY_TOL, which such a
-    gain does; a scheme error that keeps the balance below it goes unflagged.
+    dt = 0.05 (1.83 at n_z = 1600, dt = 0.2).  `simulate` warns when
+    `energy_balance` passes 1 + PASSIVITY_TOL; a smaller error goes unflagged.
     """
 
     n_z: int = 200
@@ -253,8 +251,8 @@ class PulseSimResult:
 
     Energy transmissions are time-integrated |field|^2 at zeta = alpha over
     the same integral at zeta = 0 (0 when the input carries no energy).
-    `energy_balance` is the same ratio for both fields together, at most 1
-    in the passive medium up to the scheme's error (0 without input energy).
+    `energy_balance` is that ratio for both fields together, <= 1 in the
+    passive medium up to the scheme's error.
     Group delays are center-of-energy shifts between output and input (NaN
     when either waveform carries no energy).  When maps were requested,
     field_map_* have shape (n_saved, n_z) and coherence_map has shape
@@ -689,7 +687,7 @@ def simulate(
     3200), and both can gain energy on coarse grids (see `SimGrid`).  The
     chosen route, and a fallback's failed check, go to the
     "dleit.dynamics" logger at DEBUG level, and an `energy_balance` past
-    1 + PASSIVITY_TOL at WARNING level; nothing is raised for it.
+    1 + PASSIVITY_TOL at WARNING level.
     """
     map_stride = as_integer("map_stride", map_stride)
     if map_stride < 1:
@@ -737,8 +735,8 @@ def simulate(
     e_in = e_in_probe + e_in_signal
     balance = (e_out_probe + e_out_signal) / e_in if e_in > 0 else 0.0
     if balance > 1.0 + PASSIVITY_TOL:
-        _log.warning("simulate: energy_balance %.4g exceeds a passive medium's 1 + %g; "
-                     "the scheme errs on this grid (refine dt)", balance, PASSIVITY_TOL)
+        _log.warning("simulate: energy_balance %.4g > 1 + %g in a passive medium: "
+                     "the scheme errs on this grid", balance, PASSIVITY_TOL)
 
     return PulseSimResult(
         time_grid=times,
@@ -792,11 +790,9 @@ def _peak_transmission(depth, delta):
 
 def _working_point(alpha: float, delta: float) -> AmplificationResult:
     """Signal-optimal loop phase and both transmissions at a found detuning,
-    all from one evaluation of the decay factor.
-
-    The signal's decaying weight carries exp(+i*phi_r), so phi_r = arg(a) - arg(c)
-    aligns it with the non-decaying weight; the probe's optimum is its negative.
-    """
+    all from one evaluation of the decay factor.  phi_r = arg(a) - arg(c) aligns
+    the signal's decaying weight, which carries exp(+i*phi_r), with the other;
+    the probe's optimum is its negative."""
     if alpha == 0.0:
         return AmplificationResult(0.0, math.nan, 0.0, 1.0, 1.0)
     env = decay_factor(alpha, delta)
